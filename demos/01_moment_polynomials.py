@@ -4,7 +4,8 @@
 The closed form sums refined binomial counts over lattice compositions.
 The combinatorial route enumerates noncrossing pair partitions adapted
 to a repeated word and tallies their leg profiles.  The analytic route
-solves a power-series fixed point and reads off coefficients.  The three
+solves the functional equation as a power series and reads off
+coefficients.  The three
 answers agree coefficient by coefficient, which is the point of running
 all of them.
 """

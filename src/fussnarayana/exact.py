@@ -108,12 +108,7 @@ def vandermonde_decomposition(p: int, k: int) -> tuple[int, int]:
     """
     if p < 1 or k < 1:
         raise ValueError(f"vandermonde_decomposition requires p >= 1 and k >= 1")
-    refined = 0
-    for js in _compositions(p * k + 1, p + 1, 1, k):
-        product = 1
-        for j in js:
-            product *= math.comb(k, j)
-        refined += _exact_div(product, k)
+    refined = sum(fuss_narayana_number(k, js) for js in _compositions(p * k + 1, p + 1, 1, k))
     return refined, fuss_catalan(p, k)
 
 

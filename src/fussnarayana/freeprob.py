@@ -26,7 +26,7 @@ from scipy.integrate import quad
 
 from .exact import fuss_narayana_poly
 from .report import Report
-from .series import solve_functional_equation
+from .series import solve_functional_equation, truncated_compose, truncated_inverse, truncated_mul
 
 
 class QuadratureError(RuntimeError):
@@ -122,8 +122,7 @@ def moments_by_series(shapes: Sequence, order: int) -> MomentTable:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     g = solve_functional_equation(len(ts), order, dims=(Fraction(1),) + ts)
-    values = tuple(g.coefficient(k).constant_value() for k in range(1, order + 1))
-    return MomentTable(shapes=ts, values=values)
+    return MomentTable(shapes=ts, values=g.coeffs[1:])
 
 
 def moments_by_closed_form(shapes: Sequence, order: int) -> MomentTable:
@@ -135,43 +134,6 @@ def moments_by_closed_form(shapes: Sequence, order: int) -> MomentTable:
         Fraction(fuss_narayana_poly(len(ts), k).evaluate(ts)) for k in range(1, order + 1)
     )
     return MomentTable(shapes=ts, values=values)
-
-
-# -- S-transform inversion check ----------------------------------------------
-#
-# Univariate truncated series over Fraction, as plain lists c[0..K].
-
-
-def _u_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if not ai:
-            continue
-        for j in range(min(len(b), order + 1 - i)):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return out
-
-def _u_inverse(a: list[Fraction], order: int) -> list[Fraction]:
-    if not a[0]:
-        raise ValueError("series with zero constant term has no reciprocal")
-    out = [Fraction(0)] * (order + 1)
-    out[0] = 1 / a[0]
-    for n in range(1, order + 1):
-        s = Fraction(0)
-        for i in range(1, min(n, len(a) - 1) + 1):
-            s += a[i] * out[n - i]
-        out[n] = -s / a[0]
-    return out
-
-def _u_compose(f: list[Fraction], g: list[Fraction], order: int) -> list[Fraction]:
-    if g[0]:
-        raise ValueError("composition needs a series with zero constant term")
-    out = [f[min(order, len(f) - 1)]] + [Fraction(0)] * order
-    for k in range(min(order, len(f) - 1) - 1, -1, -1):
-        out = _u_mul(out, g, order)
-        out[0] += f[k]
-    return out
 
 
 def s_transform_check(shapes: Sequence, order: int) -> Report:
@@ -191,24 +153,21 @@ def s_transform_check(shapes: Sequence, order: int) -> Report:
         raise ValueError(f"order must be >= 2 for a meaningful check, got {order}")
     report = Report(name=f"s-transform p={len(ts)} order={order}")
     moments = moments_by_series(ts, order)
-    psi = [Fraction(0)] + list(moments.values)
+    zero = Fraction(0)
+    psi = [zero] + list(moments.values)
 
     # denominator (z + 1) * prod (z + t_i), expanded in z
     denom = [Fraction(1)]
     for c in (Fraction(1),) + ts:
-        denom = [
-            (denom[i - 1] if i >= 1 else 0) + c * (denom[i] if i < len(denom) else 0)
-            for i in range(len(denom) + 1)
-        ]
-    inv = _u_inverse([denom[i] if i < len(denom) else Fraction(0) for i in range(order + 1)], order)
-    psi_inverse = [Fraction(0)] + inv[:order]
+        denom = truncated_mul(denom, [c, Fraction(1)], order, zero)
+    psi_inverse = [zero] + truncated_inverse(denom, order)[:order]
 
-    composed = _u_compose(psi, psi_inverse, order)
-    expected = [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1)
+    composed = truncated_compose(psi, psi_inverse, order, zero)
+    expected = [zero, Fraction(1)] + [zero] * (order - 1)
     for k in range(order + 1):
         report.tally(
             composed[k] == expected[k],
-            f"coefficient {k}: psi(inverse(x)) has {composed[k]}, expected {expected[k]}",
+            lambda: f"coefficient {k}: psi(inverse(x)) has {composed[k]}, expected {expected[k]}",
         )
     return report
 

@@ -374,14 +374,14 @@ def verify_shift_identity(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> R
         for r in hist0:
             report.tally(
                 all(r[i] >= 1 for i in range(1, p + 1)),
-                f"k={k}: base-word profile {r} has an empty slot above 0",
+                lambda: f"k={k}: base-word profile {r} has an empty slot above 0",
             )
         for i in range(1, p + 1):
             hist_i = profile_histogram(p, k, i, budget)
             for q, count in sorted(hist_i.items()):
                 report.tally(
                     q[0] >= 1,
-                    f"k={k} shift={i}: profile {q} has empty slot 0",
+                    lambda: f"k={k} shift={i}: profile {q} has empty slot 0",
                 )
                 if q[0] < 1:
                     continue
@@ -391,7 +391,7 @@ def verify_shift_identity(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> R
                 r = tuple(r)
                 report.tally(
                     count == hist0.get(r, 0),
-                    f"k={k} shift={i}: count {count} at {q} vs {hist0.get(r, 0)} at {r}",
+                    lambda: f"k={k} shift={i}: count {count} at {q} vs {hist0.get(r, 0)} at {r}",
                 )
             for r, count in sorted(hist0.items()):
                 if r[i] < 1:
@@ -402,7 +402,8 @@ def verify_shift_identity(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> R
                 q = tuple(q)
                 report.tally(
                     count == hist_i.get(q, 0),
-                    f"k={k} shift={i}: base count {count} at {r} vs {hist_i.get(q, 0)} at {q}",
+                    lambda: f"k={k} shift={i}: base count {count} at {r} "
+                    f"vs {hist_i.get(q, 0)} at {q}",
                 )
     return report
 
@@ -459,7 +460,7 @@ def verify_product_decomposition(p: int, k_max: int, budget: int = DEFAULT_BUDGE
     for k in range(k_max + 1):
         report.tally(
             lhs.coefficient(k) == rhs.coefficient(k),
-            f"series identity fails at order {k}: "
+            lambda: f"series identity fails at order {k}: "
             f"{(lhs.coefficient(k) - rhs.coefficient(k)).to_string()}",
         )
 
@@ -487,13 +488,13 @@ def verify_product_decomposition(p: int, k_max: int, budget: int = DEFAULT_BUDGE
                 lhs_count = base.get(j, 0)
                 report.tally(
                     lhs_count == 0,
-                    f"k={k}: profile {j} with empty upper slot has count {lhs_count}",
+                    lambda: f"k={k}: profile {j} with empty upper slot has count {lhs_count}",
                 )
                 continue
             sums = (j[0],) + tuple(j[i] - 1 for i in range(1, num_vars))
             report.tally(
                 base.get(j, 0) == total.get(sums, 0),
-                f"k={k}: recurrence mismatch at {j}: "
+                lambda: f"k={k}: recurrence mismatch at {j}: "
                 f"{base.get(j, 0)} vs {total.get(sums, 0)}",
             )
     return report

@@ -72,6 +72,10 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        """False exactly for the zero polynomial, as for numbers."""
+        return bool(self.terms)
+
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if any variable occurs)."""
         zero = (0,) * self.num_vars

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 @dataclass
@@ -22,11 +23,11 @@ class Report:
     def ok(self) -> bool:
         return not self.mismatches
 
-    def tally(self, condition: bool, message: str) -> None:
-        """Count one comparison; record the message when it failed."""
+    def tally(self, condition: bool, message: str | Callable[[], str]) -> None:
+        """Count one comparison; record the message (called first if callable) when it failed."""
         self.checks += 1
         if not condition:
-            self.mismatches.append(message)
+            self.mismatches.append(message() if callable(message) else message)
 
     def to_dict(self) -> dict:
         return {

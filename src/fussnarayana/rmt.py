@@ -98,9 +98,10 @@ class McResult:
     moments: tuple[MomentStat, ...]
 
     def to_json_text(self) -> str:
+        """JSON document; non-finite values (z when se is 0) become null."""
         c = self.config
         pr = c.profile
-        fmt = lambda x: format(x, ".12g")
+        fmt = lambda x: format(x, ".12g") if math.isfinite(x) else "null"
         d_text = ", ".join(fmt(x) for x in pr.d)
         realized_text = ", ".join(str(x) for x in pr.realized)
         rows = ",\n".join(

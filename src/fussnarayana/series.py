@@ -1,17 +1,18 @@
-"""Truncated power series over polynomial coefficients.
+"""Truncated power series, computed one coefficient at a time.
 
-A ``TruncatedSeries`` of order K holds coefficients c_0..c_K, each a
-:class:`~fussnarayana.poly.MultiPoly`, and represents
-``c_0 + c_1 x + ... + c_K x^K + O(x^{K+1})``.  Multiplication truncates
-at order K, so fixed-point iteration in this ring is exact through the
-kept orders.
+The kernel works on coefficient lists ``c[0..K]``, standing for
+``c_0 + c_1 x + ... + c_K x^K + O(x^{K+1})``, over exact rationals or
+:class:`~fussnarayana.poly.MultiPoly`.  Its one step is ``[x^n] (a * b)``
+from the coefficients stored so far, so a coefficient that depends only
+on lower ones is computed once, in increasing order (Brent and Kung,
+J. ACM 25, 1978).  ``TruncatedSeries`` wraps a list for operator use.
 
 Two independent routes to the moment generating series live here:
 
-* ``solve_functional_equation`` iterates ``g <- x * prod_i (g + d_i)``
-  starting from 0.  Pass K iterations and the coefficients through
-  ``x^K`` are exact: the right side maps series agreeing to order m to
-  series agreeing to order m+1, because of the leading factor x.
+* ``solve_functional_equation`` solves ``g = x * prod_i (g + d_i)`` by
+  the recurrence ``g_{n+1} = [x^n] F_p`` on the partial products
+  ``F_i = prod_{j<=i} (g + d_j)``, extending each ``F_i`` by one
+  coefficient per order: O(p K^2) coefficient products through x^K.
 
 * ``lagrange_coefficient`` extracts the same coefficient via Lagrange
   inversion: the x^n coefficient of the solution equals
@@ -26,35 +27,86 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import MultiPoly
+from .poly import MultiPoly, format_exact
+
+
+def _ring_zero(num_vars: int | None):
+    return Fraction(0) if num_vars is None else MultiPoly(num_vars)
+
+
+def product_coefficient(a: Sequence, b: Sequence, n: int, zero):
+    """``[x^n] (a * b)`` from the coefficients stored in ``a`` and ``b``.
+
+    Only index pairs inside both sequences contribute, so a series whose
+    coefficients are still being computed takes part with those it has.
+    Zero coefficients are skipped; ``zero`` is the ring's zero.
+    """
+    total = zero
+    for i in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1):
+        a_i, b_j = a[i], b[n - i]
+        if a_i and b_j:
+            total = total + a_i * b_j
+    return total
+
+
+def truncated_mul(a: Sequence, b: Sequence, order: int, zero) -> list:
+    """Coefficients 0..order of the product a * b."""
+    return [product_coefficient(a, b, n, zero) for n in range(order + 1)]
+
+
+def truncated_inverse(a: Sequence[Fraction], order: int) -> list[Fraction]:
+    """Coefficients 0..order of 1/a; a[0] must be a nonzero rational."""
+    if not a[0]:
+        raise ValueError("series with zero constant term has no reciprocal")
+    head = 1 / Fraction(a[0])
+    out = [head]
+    # with out holding n entries, the step leaves out the unknown a[0] * out[n]
+    for n in range(1, order + 1):
+        out.append(-product_coefficient(a, out, n, Fraction(0)) * head)
+    return out
+
+
+def truncated_compose(f: Sequence, g: Sequence, order: int, zero) -> list:
+    """Coefficients 0..order of f(g(x)); g must have zero constant term."""
+    if g[0]:
+        raise ValueError("composition needs a series with zero constant term")
+    top = min(order, len(f) - 1)
+    out = [f[top]]
+    for k in range(top - 1, -1, -1):
+        out = truncated_mul(out, g, order, zero)
+        out[0] = out[0] + f[k]
+    return out + [zero] * (order + 1 - len(out))
 
 
 class TruncatedSeries:
-    """Power series truncated at a fixed order, with MultiPoly coefficients."""
+    """Power series truncated at a fixed order.
+
+    Coefficients are MultiPolys in ``num_vars`` variables, or Fractions
+    when ``num_vars`` is None.
+    """
 
     __slots__ = ("order", "num_vars", "coeffs")
 
-    def __init__(self, order: int, num_vars: int, coeffs: Sequence[MultiPoly] | None = None):
+    def __init__(self, order: int, num_vars: int | None, coeffs: Sequence | None = None):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        if coeffs is None:
-            coeffs = [MultiPoly(num_vars) for _ in range(order + 1)]
-        coeffs = tuple(coeffs)
+        zero = _ring_zero(num_vars)
+        coeffs = tuple([zero] * (order + 1) if coeffs is None else coeffs)
         if len(coeffs) != order + 1:
             raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
-        for c in coeffs:
-            if not isinstance(c, MultiPoly) or c.num_vars != num_vars:
-                raise ValueError("every coefficient must be a MultiPoly in num_vars variables")
+        if not all(isinstance(c, type(zero)) and getattr(c, "num_vars", None) == num_vars
+                   for c in coeffs):
+            raise ValueError("coefficients must be Fractions, or MultiPolys in num_vars variables")
         self.order = order
         self.num_vars = num_vars
         self.coeffs = coeffs
 
     @classmethod
-    def zero(cls, order: int, num_vars: int) -> "TruncatedSeries":
+    def zero(cls, order: int, num_vars: int | None) -> "TruncatedSeries":
         return cls(order, num_vars)
 
-    def coefficient(self, k: int) -> MultiPoly:
-        """The polynomial multiplying x^k (0 <= k <= order)."""
+    def coefficient(self, k: int):
+        """The coefficient of x^k (0 <= k <= order)."""
         if not 0 <= k <= self.order:
             raise ValueError(f"coefficient index {k} outside stored range 0..{self.order}")
         return self.coeffs[k]
@@ -78,16 +130,9 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __sub__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            head = self.coeffs[0] - other
-            return TruncatedSeries(self.order, self.num_vars, (head,) + self.coeffs[1:])
-        if not isinstance(other, TruncatedSeries):
+        if not isinstance(other, (int, Fraction, MultiPoly, TruncatedSeries)):
             return NotImplemented
-        self._compat(other)
-        return TruncatedSeries(
-            self.order, self.num_vars,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return self + other * -1
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction, MultiPoly)):
@@ -97,22 +142,17 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._compat(other)
-        out = [MultiPoly(self.num_vars) for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.order, self.num_vars, out)
+        return TruncatedSeries(
+            self.order, self.num_vars,
+            truncated_mul(self.coeffs, other.coeffs, self.order, _ring_zero(self.num_vars)),
+        )
 
     __rmul__ = __mul__
 
     def shifted(self) -> "TruncatedSeries":
         """Multiply by x: coefficients move up one slot, the top one drops."""
-        zero = MultiPoly(self.num_vars)
-        return TruncatedSeries(self.order, self.num_vars, (zero,) + self.coeffs[:-1])
+        head = _ring_zero(self.num_vars)
+        return TruncatedSeries(self.order, self.num_vars, (head,) + self.coeffs[:-1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -124,7 +164,8 @@ class TruncatedSeries:
         )
 
     def __repr__(self) -> str:
-        parts = [f"({c.to_string()})*x^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero]
+        render = format_exact if self.num_vars is None else MultiPoly.to_string
+        parts = [f"({render(c)})*x^{k}" for k, c in enumerate(self.coeffs) if c]
         return f"TruncatedSeries(order={self.order}, {' + '.join(parts) or '0'})"
 
 
@@ -136,13 +177,12 @@ def solve_functional_equation(
     With ``dims`` omitted the d_i are symbolic and the result is a series
     whose x^k coefficient is the order-k limit moment polynomial times d0,
     in ``p+1`` variables.  With ``dims`` given (p+1 exact rationals) the
-    same iteration runs with constant coefficients, which is much faster
-    for numeric work; coefficients are then constant polynomials in zero
-    variables.
+    same recurrence runs on rational coefficients, which is much faster
+    for numeric work, and the result has rational coefficients.
 
-    The iteration starts from the zero series and runs ``order`` times;
-    each pass fixes one further coefficient, so the result is exact
-    through x^order.
+    Each coefficient of g and of the partial products
+    ``F_i = prod_{j<=i} (g + d_j)`` is computed once, in increasing order:
+    ``g_{n+1} = [x^n] F_p``, so the result is exact through x^order.
     """
     if p < 1 or order < 0:
         raise ValueError(f"need p >= 1 and order >= 0, got p={p}, order={order}")
@@ -152,15 +192,19 @@ def solve_functional_equation(
     else:
         if len(dims) != p + 1:
             raise ValueError(f"dims must provide p+1 = {p + 1} values, got {len(dims)}")
-        num_vars = 0
-        ds = [MultiPoly.constant(0, Fraction(d)) for d in dims]
-    g = TruncatedSeries.zero(order, num_vars)
-    for _ in range(order):
-        acc = g + ds[0]
-        for d in ds[1:]:
-            acc = acc * (g + d)
-        g = acc.shifted()
-    return g
+        num_vars = None
+        ds = [Fraction(d) for d in dims]
+    zero = _ring_zero(num_vars)
+    g = [zero]
+    # partial[i + 1][n] = [x^n] F_i, filled one order at a time; partial[0] is the series 1
+    partial = [[zero + 1] + [zero] * order] + [[] for _ in ds]
+    for n in range(order):
+        for i, d in enumerate(ds):
+            prev = partial[i]
+            # (g + d) has d at x^0 and g_m at x^m; g_0 = 0 drops prev[n] * g_0
+            partial[i + 1].append(prev[n] * d + product_coefficient(prev, g, n, zero))
+        g.append(partial[-1][n])
+    return TruncatedSeries(order, num_vars, g)
 
 
 def lagrange_coefficient(p: int, n: int) -> MultiPoly:
@@ -174,19 +218,12 @@ def lagrange_coefficient(p: int, n: int) -> MultiPoly:
     if p < 1 or n < 1:
         raise ValueError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
     num_vars = p + 1
+    zero = MultiPoly(num_vars)
     # acc[m] is the d-polynomial multiplying lambda^m, kept only for m <= n-1.
-    acc: list[MultiPoly] = [MultiPoly.constant(num_vars, 1)]
+    acc = [MultiPoly.constant(num_vars, 1)]
     for i in range(num_vars):
         d_i = MultiPoly.variable(num_vars, i)
         # (lambda + d_i)^n truncated above lambda^(n-1)
         factor = [MultiPoly.constant(num_vars, math.comb(n, m)) * d_i ** (n - m) for m in range(n)]
-        out = [MultiPoly(num_vars) for _ in range(n)]
-        for a, poly_a in enumerate(acc):
-            if poly_a.is_zero:
-                continue
-            for b in range(n - a):
-                if not factor[b].is_zero:
-                    out[a + b] = out[a + b] + poly_a * factor[b]
-        acc = out
-    target = acc[n - 1]
-    return (target * Fraction(1, n)).assert_integer_coefficients()
+        acc = truncated_mul(acc, factor, n - 1, zero)
+    return (acc[n - 1] * Fraction(1, n)).assert_integer_coefficients()

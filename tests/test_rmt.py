@@ -13,6 +13,8 @@ import pytest
 from fussnarayana.rmt import (
     DimensionProfile,
     McConfig,
+    McResult,
+    MomentStat,
     run_experiment,
     sample_product,
     trace_moments,
@@ -144,6 +146,19 @@ def test_result_serializations():
     # 12 significant digits in both formats
     mean_text = csv_lines[1].split(",")[1]
     assert float(mean_text) == pytest.approx(result.moments[0].mean, rel=1e-11)
+
+
+def test_non_finite_values_serialize_as_json_null():
+    # run_experiment sets z = inf when a moment has zero spread but misses its target
+    stats = (
+        MomentStat(k=1, mean=1.5, se=0.0, target=1.0, z=math.inf),
+        MomentStat(k=2, mean=math.nan, se=0.25, target=2.0, z=-math.inf),
+    )
+    text = McResult(config=small_config(k_max=2), moments=stats).to_json_text()
+    rows = json.loads(text)["moments"]
+    assert rows[0] == {"k": 1, "mean": 1.5, "se": 0, "target": 1, "z": None}
+    assert rows[1] == {"k": 2, "mean": None, "se": 0.25, "target": 2, "z": None}
+    assert '"mean": 1.5, "se": 0, "target": 1, "z": null}' in text
 
 
 def test_targets_are_the_moment_polynomials():

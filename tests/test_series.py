@@ -1,4 +1,4 @@
-"""Tests for truncated series, the fixed-point solver, and Lagrange inversion."""
+"""Tests for the truncated-series kernel, the functional-equation solver, and Lagrange inversion."""
 
 from fractions import Fraction
 
@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from fussnarayana.exact import limit_moment_poly
 from fussnarayana.poly import MultiPoly
-from fussnarayana.series import TruncatedSeries, lagrange_coefficient, solve_functional_equation
+from fussnarayana.series import (
+    TruncatedSeries,
+    lagrange_coefficient,
+    solve_functional_equation,
+    truncated_compose,
+    truncated_inverse,
+    truncated_mul,
+)
 
 
 def constant_series(order, num_vars, value):
@@ -99,7 +106,8 @@ def test_solution_satisfies_its_equation(p, order):
 
 
 def test_solver_coefficients_are_moment_polynomials():
-    for p, order in [(1, 5), (2, 4), (3, 2)]:
+    # the benchmark's orders
+    for p, order in [(1, 20), (2, 10), (3, 8)]:
         g = solve_functional_equation(p, order)
         d0 = MultiPoly.variable(p + 1, 0)
         for k in range(1, order + 1):
@@ -116,7 +124,7 @@ def test_numeric_mode_matches_symbolic_evaluation(p, order, data):
     numeric = solve_functional_equation(p, order, dims=dims)
     symbolic = solve_functional_equation(p, order)
     for k in range(order + 1):
-        assert numeric.coefficient(k).constant_value() == symbolic.coefficient(k).evaluate(dims)
+        assert numeric.coefficient(k) == symbolic.coefficient(k).evaluate(dims)
 
 
 def test_lagrange_against_direct_expansion():
@@ -131,7 +139,7 @@ def test_lagrange_against_direct_expansion():
     assert lagrange_coefficient(2, 2) == expected
 
 
-@pytest.mark.parametrize("p,order", [(1, 8), (2, 4), (3, 2)])
+@pytest.mark.parametrize("p,order", [(1, 8), (2, 4), (3, 2), (1, 20), (2, 10), (3, 8)])
 def test_lagrange_matches_solver(p, order):
     g = solve_functional_equation(p, order)
     for n in range(1, order + 1):
@@ -144,3 +152,45 @@ def test_lagrange_coefficients_are_integers():
         assert all(c.denominator == 1 for c in poly.terms.values())
     with pytest.raises(ValueError):
         lagrange_coefficient(1, 0)
+
+
+def test_kernel_inverse_of_one_minus_x():
+    one = Fraction(1)
+    assert truncated_inverse([one, -one], 6) == [one] * 7
+    # 1/(1 + 2x + x^2) = 1/(1 + x)^2 = sum (-1)^n (n + 1) x^n
+    assert truncated_inverse([one, 2, 1], 5) == [(-1) ** n * (n + 1) for n in range(6)]
+    with pytest.raises(ValueError):
+        truncated_inverse([Fraction(0), one], 3)
+
+
+def test_kernel_compose_with_compositional_inverse():
+    zero, one = Fraction(0), Fraction(1)
+    order = 7
+    # psi = x / (1 - x) and its compositional inverse x / (1 + x)
+    psi = [zero] + [one] * order
+    psi_inverse = [zero] + truncated_inverse([one, one], order - 1)
+    identity = [zero, one] + [zero] * (order - 1)
+    assert truncated_compose(psi, psi_inverse, order, zero) == identity
+    assert truncated_compose(psi_inverse, psi, order, zero) == identity
+    with pytest.raises(ValueError):
+        truncated_compose(psi, [one, one], order, zero)
+
+
+def test_kernel_is_generic_over_the_coefficient_ring():
+    # (1 + t x)^2 truncated at x^1, over MultiPoly in t, then at t = 3 over Fraction
+    t = MultiPoly.variable(1, 0)
+    one = MultiPoly.constant(1, 1)
+    symbolic = truncated_mul([one, t], [one, t], 1, MultiPoly(1))
+    assert symbolic == [one, 2 * t]
+    numeric = truncated_mul([Fraction(1), Fraction(3)], [Fraction(1), Fraction(3)], 1, Fraction(0))
+    assert numeric == [c.evaluate([3]) for c in symbolic]
+
+
+def test_rational_series_reject_polynomial_coefficients():
+    s = TruncatedSeries(2, None, [Fraction(1), Fraction(1, 2), Fraction(0)])
+    assert s.coefficient(1) == Fraction(1, 2)
+    assert (s * s).coefficient(2) == Fraction(1, 4)
+    with pytest.raises(ValueError):
+        TruncatedSeries(1, None, [MultiPoly.constant(0, 1), Fraction(0)])
+    with pytest.raises(ValueError):
+        s + TruncatedSeries.zero(2, 0)
