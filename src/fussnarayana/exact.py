@@ -90,6 +90,10 @@ def _compositions(total: int, parts: int, low: int, high: int) -> Iterator[tuple
         if total == 0:
             yield ()
         return
+    if parts == 1:
+        if low <= total <= high:
+            yield (total,)
+        return
     rest_low = low * (parts - 1)
     rest_high = high * (parts - 1)
     for first in range(max(low, total - rest_high), min(high, total - rest_low) + 1):
@@ -125,12 +129,17 @@ def limit_moment_poly(p: int, k: int) -> MultiPoly:
         raise ValueError(f"limit_moment_poly requires p >= 1 and k >= 0, got p={p}, k={k}")
     if k == 0:
         return MultiPoly.constant(p + 1, 1)
+    # Every composition lies on the support of fuss_narayana_number, so the
+    # coefficient is the row product of C(k, j) divided (checked) by k.
+    row = [math.comb(k, j) for j in range(k + 1)]
     terms = {}
     for j0 in range(0, k):
+        lead = row[j0 + 1]
         for rest in _compositions(p * k - j0, p, 1, k):
-            coeff = fuss_narayana_number(k, (j0 + 1,) + rest)
-            if coeff:
-                terms[(j0,) + rest] = coeff
+            product = lead
+            for j in rest:
+                product *= row[j]
+            terms[(j0,) + rest] = _exact_div(product, k)
     return MultiPoly(p + 1, terms)
 
 

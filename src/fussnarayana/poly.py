@@ -12,6 +12,8 @@ the exponent vector, so equal polynomials always render identically.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -41,12 +43,15 @@ class MultiPoly:
             raise ValueError("num_vars must be nonnegative")
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            key = tuple(int(e) for e in exps)
+            try:
+                key = tuple(map(operator.index, exps))
+            except TypeError:
+                raise ValueError(f"non-integral exponent in {exps!r}") from None
             if len(key) != num_vars:
                 raise ValueError(f"exponent vector {key} does not have {num_vars} entries")
-            if any(e < 0 for e in key):
+            if key and min(key) < 0:
                 raise ValueError(f"negative exponent in {key}")
-            q = Fraction(coeff)
+            q = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if q:
                 clean[key] = q
         self.num_vars = num_vars
@@ -172,9 +177,22 @@ class MultiPoly:
     # -- substitution and evaluation -----------------------------------------
 
     def evaluate(self, values: Sequence) -> "Fraction | float":
-        """Evaluate at a point.  Exact for int/Fraction inputs, float otherwise."""
+        """Evaluate at a point.  Exact for int/Fraction inputs, float otherwise.
+
+        When every coordinate is an int or a Fraction, the denominators are
+        cleared first: with ``D_i`` the top exponent of variable i, the term
+        sum is taken over Python ints from the tables
+        ``num_i**j * den_i**(D_i - j)`` and the coefficients scaled by the
+        lcm of their denominators, and one Fraction is built at the end.
+        Any other coordinate (a float, say) takes the term-by-term loop,
+        whose operation order is unchanged.
+        """
         if len(values) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} values, got {len(values)}")
+        if not self.terms:
+            return Fraction(0)
+        if all(isinstance(v, (int, Fraction)) for v in values):
+            return self._evaluate_exact(values)
         total = 0
         for exps, coeff in self.terms.items():
             term = coeff
@@ -182,17 +200,40 @@ class MultiPoly:
                 if e:
                     term = term * v**e
             total = total + term
-        return total if self.terms else Fraction(0)
+        return total
+
+    def _evaluate_exact(self, values: Sequence) -> Fraction:
+        scale = math.lcm(*(c.denominator for c in self.terms.values()))
+        denominator = scale
+        tables = []
+        for v, top in zip(values, map(max, zip(*self.terms))):
+            num, den = v.numerator, v.denominator
+            tables.append([num**j * den ** (top - j) for j in range(top + 1)])
+            denominator *= den**top
+        total = 0
+        for exps, coeff in self.terms.items():
+            term = coeff.numerator * (scale // coeff.denominator)
+            for table, e in zip(tables, exps):
+                term *= table[e]
+            total += term
+        return Fraction(total, denominator)
 
     def substitute(self, index: int, value: Scalar) -> "MultiPoly":
-        """Replace one variable by an exact scalar; the result drops that slot."""
+        """Replace one variable by an exact scalar; the result drops that slot.
+
+        Each power of the value that occurs is computed once, and
+        substituting 1 multiplies nothing.
+        """
         if not 0 <= index < self.num_vars:
             raise ValueError(f"variable index {index} out of range")
         q = Fraction(value)
+        powers = None if q == 1 else {e: q**e for e in {exps[index] for exps in self.terms}}
         acc: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
             key = exps[:index] + exps[index + 1 :]
-            acc[key] = acc.get(key, Fraction(0)) + coeff * q ** exps[index]
+            term = coeff if powers is None else coeff * powers[exps[index]]
+            prev = acc.get(key)
+            acc[key] = term if prev is None else prev + term
         return MultiPoly(self.num_vars - 1, acc)
 
     def divide_by_variable(self, index: int) -> "MultiPoly":

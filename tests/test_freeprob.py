@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
-from fussnarayana.exact import fuss_narayana_poly
+from fussnarayana.exact import fuss_narayana_poly, limit_moment_poly
 from fussnarayana.freeprob import (
     MpLaw,
     QuadratureError,
@@ -102,6 +102,33 @@ def test_series_and_closed_form_agree_on_a_grid():
             moments_by_series(shapes, order).values
             == moments_by_closed_form(shapes, order).values
         ), shapes
+
+
+@pytest.mark.parametrize(
+    "shapes, order",
+    [
+        ((Fraction(8, 7), Fraction(13, 7)), 30),
+        ((Fraction(9, 7), Fraction(12, 7), Fraction(10, 7)), 30),
+        ((Fraction(11, 7), Fraction(8, 7), Fraction(13, 7), Fraction(9, 7)), 14),
+    ],
+)
+def test_series_and_closed_form_agree_at_benchmark_orders(shapes, order):
+    # the moments benchmark's factor counts and orders, shapes a/7 with a in 8..13
+    assert (
+        moments_by_closed_form(shapes, order).values
+        == moments_by_series(shapes, order).values
+    )
+
+
+@pytest.mark.parametrize("p, k", [(1, 9), (2, 7), (3, 5), (4, 4)])
+def test_fuss_narayana_poly_sets_the_leading_ratio_to_one(p, k):
+    # reference substitution of d0 = 1, term by term, without MultiPoly.substitute
+    expected = {}
+    for exps, coeff in limit_moment_poly(p, k).terms.items():
+        expected[exps[1:]] = expected.get(exps[1:], 0) + coeff * Fraction(1) ** exps[0]
+    poly = fuss_narayana_poly(p, k)
+    assert poly.num_vars == p
+    assert poly.terms == expected
 
 
 def test_three_factor_second_moment_polynomial():

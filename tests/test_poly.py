@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,38 @@ polys = st.dictionaries(exponents, coeffs, max_size=6).map(
 )
 points = st.tuples(*(st.fractions(min_value=-3, max_value=3, max_denominator=6)
                      for _ in range(NUM_VARS)))
+exact_coordinates = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=9),
+)
+exact_points = st.tuples(*(exact_coordinates for _ in range(NUM_VARS)))
+mixed_points = st.tuples(*(
+    st.one_of(exact_coordinates, st.floats(-3, 3, allow_nan=False))
+    for _ in range(NUM_VARS)
+))
+
+
+def fraction_reference(poly, values):
+    """Term-by-term evaluation in Fractions, the definition of the exact value."""
+    total = Fraction(0)
+    for exps, coeff in poly.terms.items():
+        term = Fraction(coeff)
+        for v, e in zip(values, exps):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+def term_loop(poly, values):
+    """The term-by-term loop in the order evaluate used before clearing denominators."""
+    total = 0
+    for exps, coeff in poly.terms.items():
+        term = coeff
+        for v, e in zip(values, exps):
+            if e:
+                term = term * v**e
+        total = total + term
+    return total if poly.terms else Fraction(0)
 
 
 def test_zero_and_constant():
@@ -48,10 +81,26 @@ def test_arity_mismatch_rejected():
         MultiPoly.variable(2, 0) + MultiPoly.variable(3, 0)
     with pytest.raises(ValueError):
         MultiPoly.variable(2, 0) * MultiPoly.variable(3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="entries"):
         MultiPoly(2, {(1,): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="entries"):
+        MultiPoly(2, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="negative"):
         MultiPoly(2, {(1, -1): 1})
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2", None])
+def test_non_integral_exponents_rejected(bad):
+    with pytest.raises(ValueError, match="non-integral"):
+        MultiPoly(1, {(bad,): 1})
+
+
+def test_integer_like_exponents_accepted():
+    x = MultiPoly.variable(2, 0)
+    assert MultiPoly(2, {(True, False): 1}) == x
+    square = MultiPoly(2, {(np.int64(2), np.int32(0)): Fraction(3, 2)})
+    assert square == Fraction(3, 2) * x * x
+    assert all(type(e) is int for e in next(iter(square.terms)))
 
 
 @given(polys, polys, polys)
@@ -72,6 +121,33 @@ def test_ring_axioms(a, b, c):
 def test_evaluation_is_a_homomorphism(a, b, pt):
     assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
     assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
+
+
+@given(polys, exact_points)
+@settings(max_examples=100)
+def test_exact_evaluate_matches_fraction_reference(a, pt):
+    value = a.evaluate(pt)
+    assert type(value) is Fraction
+    assert value == fraction_reference(a, pt)
+
+
+@given(polys, mixed_points)
+@settings(max_examples=100)
+def test_float_evaluate_keeps_the_term_loop(a, pt):
+    value = a.evaluate(pt)
+    expected = term_loop(a, pt)
+    assert type(value) is type(expected)
+    assert repr(value) == repr(expected)
+
+
+def test_evaluate_edge_cases():
+    zero = MultiPoly(NUM_VARS)
+    assert zero.evaluate((Fraction(1, 3), 0, -2)) == 0
+    assert type(zero.evaluate((0.5, 1.0, 2.0))) is Fraction
+    assert MultiPoly.constant(0, Fraction(-5, 6)).evaluate(()) == Fraction(-5, 6)
+    p = MultiPoly(NUM_VARS, {(3, 0, 1): Fraction(1, 6), (0, 2, 0): Fraction(-3, 4), (0, 0, 0): 2})
+    pt = (Fraction(-2, 3), 0, Fraction(5, 2))
+    assert p.evaluate(pt) == fraction_reference(p, pt)
 
 
 @given(polys, st.fractions(min_value=-3, max_value=3, max_denominator=4))
