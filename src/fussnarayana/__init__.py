@@ -64,7 +64,7 @@ from .rmt import (
     sample_product,
     trace_moments,
 )
-from .series import TruncatedSeries, lagrange_coefficient, solve_functional_equation
+from .series import lagrange_coefficient, solve_functional_equation
 from .diagrams import partition_svg, write_partition_svg
 
 __version__ = "0.1.0"
@@ -83,7 +83,6 @@ __all__ = [
     "PairPartition",
     "QuadratureError",
     "Report",
-    "TruncatedSeries",
     "WordSpec",
     "base_word",
     "binomial",

@@ -112,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--trials", type=int, default=200)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--ensemble", choices=rmt._ENSEMBLES, default="complex")
-    mc.add_argument("--workers", type=int, default=1)
     mc.add_argument("--format", choices=("json", "csv"), default="json")
     mc.set_defaults(func=cmd_mc)
 
@@ -135,7 +134,7 @@ def _poly_by_method(method: str, p: int, k: int, budget: int) -> MultiPoly:
         return partitions.enumerated_moment_poly(p, k, budget=budget)
     if k == 0:
         return MultiPoly.constant(p + 1, 1)
-    return solve_functional_equation(p, k).coefficient(k).divide_by_variable(0)
+    return solve_functional_equation(p, k)[k].divide_by_variable(0)
 
 
 def cmd_poly(args) -> int:
@@ -229,12 +228,12 @@ def _oracle_sweep(p: int, k_max: int, budget: int):
         report.tally(closed == counted,
                      f"k={k}: closed form and enumeration disagree")
         if k >= 1:
-            via_series = solve_functional_equation(p, k).coefficient(k).divide_by_variable(0)
+            via_series = solve_functional_equation(p, k)[k].divide_by_variable(0)
             report.tally(closed == via_series,
                          f"k={k}: closed form and series solver disagree")
             refined, total = exact.vandermonde_decomposition(p, k)
-            count = sum(1 for _ in partitions.enumerate_adapted(
-                partitions.WordSpec(p, 0, k), budget=budget))
+            # the cached histogram behind `counted`: no second enumeration
+            count = sum(partitions.profile_histogram(p, k, 0, budget).values())
             report.tally(refined == total == count,
                          f"k={k}: counts disagree: {refined}, {total}, {count}")
     return report
@@ -299,7 +298,7 @@ def cmd_mc(args) -> int:
         profile=profile, k_max=args.K, trials=args.trials,
         seed=args.seed, ensemble=args.ensemble,
     )
-    result = rmt.run_experiment(config, workers=args.workers)
+    result = rmt.run_experiment(config)
     text = result.to_json_text() if args.format == "json" else result.to_csv_text()
     sys.stdout.write(text)
     return 0

@@ -122,7 +122,7 @@ def moments_by_series(shapes: Sequence, order: int) -> MomentTable:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     g = solve_functional_equation(len(ts), order, dims=(Fraction(1),) + ts)
-    return MomentTable(shapes=ts, values=g.coeffs[1:])
+    return MomentTable(shapes=ts, values=tuple(g[1:]))
 
 
 def moments_by_closed_form(shapes: Sequence, order: int) -> MomentTable:

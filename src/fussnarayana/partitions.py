@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Sequence
 
 from .poly import MultiPoly
 from .report import Report
-from .series import TruncatedSeries
+from .series import truncated_mul
 
 #: Largest word length 2pk the enumeration routines accept by default.
 DEFAULT_BUDGET = 16
@@ -165,9 +165,6 @@ class PairPartition:
     @property
     def size(self) -> int:
         return len(self.match)
-
-    def partner(self, i: int) -> int:
-        return self.match[i]
 
     def blocks(self) -> tuple[tuple[int, int], ...]:
         """Blocks as 1-based (opener, closer) pairs, sorted by opener."""
@@ -444,24 +441,22 @@ def verify_product_decomposition(p: int, k_max: int, budget: int = DEFAULT_BUDGE
         _check_budget(p, k, budget)
     num_vars = p + 1
 
-    series = []
-    for shift in range(p + 1):
-        coeffs = [_poly_from_histogram(p, shift, k, budget) for k in range(k_max + 1)]
-        series.append(TruncatedSeries(k_max, num_vars, coeffs))
-
+    series = [
+        [_poly_from_histogram(p, shift, k, budget) for k in range(k_max + 1)]
+        for shift in range(p + 1)
+    ]
     d_product = MultiPoly.constant(num_vars, 1)
     for i in range(1, p + 1):
         d_product = d_product * MultiPoly.variable(num_vars, i)
-    lhs = series[0] - 1
-    rhs_acc = series[0]
+    product = series[0]
     for s in series[1:]:
-        rhs_acc = rhs_acc * s
-    rhs = (rhs_acc * d_product).shifted()
+        product = truncated_mul(product, s, k_max, MultiPoly(num_vars))
+    lhs = [series[0][0] - 1] + series[0][1:]
+    rhs = [MultiPoly(num_vars)] + [c * d_product for c in product[:-1]]
     for k in range(k_max + 1):
         report.tally(
-            lhs.coefficient(k) == rhs.coefficient(k),
-            lambda: f"series identity fails at order {k}: "
-            f"{(lhs.coefficient(k) - rhs.coefficient(k)).to_string()}",
+            lhs[k] == rhs[k],
+            lambda: f"series identity fails at order {k}: {(lhs[k] - rhs[k]).to_string()}",
         )
 
     hists = {

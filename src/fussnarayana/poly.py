@@ -73,10 +73,6 @@ class MultiPoly:
 
     # -- predicates and views ----------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         """False exactly for the zero polynomial, as for numbers."""
         return bool(self.terms)

@@ -14,14 +14,13 @@ g / sqrt(n); it carries a genuine O(1/n) offset that a 2-3 standard
 error gate at n of a few hundred will flag, especially at higher k.
 
 Every trial uses its own generator seeded as (seed, trial_index), so
-results are reproducible and independent of execution order or worker
-count; trial statistics are aggregated after all trials finish.
+results are reproducible; trial statistics are aggregated after all
+trials finish.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -181,26 +180,16 @@ def _one_trial(config: McConfig, trial: int) -> np.ndarray:
     return trace_moments(product, config.profile, config.k_max)
 
 
-def run_experiment(config: McConfig, workers: int = 1) -> McResult:
+def run_experiment(config: McConfig) -> McResult:
     """Run all trials of a configuration and aggregate the moment statistics.
 
-    The per-trial matrix is filled by trial index whatever the execution
-    order, and means are taken along the trial axis afterwards, so the
-    result is a pure function of the configuration: workers only change
-    wall time.
+    Trials run in index order, each on its own seeded generator, and
+    means are taken along the trial axis afterwards, so the result is a
+    pure function of the configuration.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     per_trial = np.empty((config.trials, config.k_max))
-    if workers == 1:
-        for trial in range(config.trials):
-            per_trial[trial] = _one_trial(config, trial)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for trial, row in enumerate(pool.map(
-                lambda r: _one_trial(config, r), range(config.trials)
-            )):
-                per_trial[trial] = row
+    for trial in range(config.trials):
+        per_trial[trial] = _one_trial(config, trial)
 
     profile = config.profile
     means = per_trial.mean(axis=0)

@@ -5,7 +5,7 @@ The kernel works on coefficient lists ``c[0..K]``, standing for
 :class:`~fussnarayana.poly.MultiPoly`.  Its one step is ``[x^n] (a * b)``
 from the coefficients stored so far, so a coefficient that depends only
 on lower ones is computed once, in increasing order (Brent and Kung,
-J. ACM 25, 1978).  ``TruncatedSeries`` wraps a list for operator use.
+J. ACM 25, 1978).
 
 Two independent routes to the moment generating series live here:
 
@@ -27,11 +27,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import MultiPoly, format_exact
-
-
-def _ring_zero(num_vars: int | None):
-    return Fraction(0) if num_vars is None else MultiPoly(num_vars)
+from .poly import MultiPoly
 
 
 def product_coefficient(a: Sequence, b: Sequence, n: int, zero):
@@ -78,107 +74,17 @@ def truncated_compose(f: Sequence, g: Sequence, order: int, zero) -> list:
     return out + [zero] * (order + 1 - len(out))
 
 
-class TruncatedSeries:
-    """Power series truncated at a fixed order.
-
-    Coefficients are MultiPolys in ``num_vars`` variables, or Fractions
-    when ``num_vars`` is None.
-    """
-
-    __slots__ = ("order", "num_vars", "coeffs")
-
-    def __init__(self, order: int, num_vars: int | None, coeffs: Sequence | None = None):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        zero = _ring_zero(num_vars)
-        coeffs = tuple([zero] * (order + 1) if coeffs is None else coeffs)
-        if len(coeffs) != order + 1:
-            raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
-        if not all(isinstance(c, type(zero)) and getattr(c, "num_vars", None) == num_vars
-                   for c in coeffs):
-            raise ValueError("coefficients must be Fractions, or MultiPolys in num_vars variables")
-        self.order = order
-        self.num_vars = num_vars
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, order: int, num_vars: int | None) -> "TruncatedSeries":
-        return cls(order, num_vars)
-
-    def coefficient(self, k: int):
-        """The coefficient of x^k (0 <= k <= order)."""
-        if not 0 <= k <= self.order:
-            raise ValueError(f"coefficient index {k} outside stored range 0..{self.order}")
-        return self.coeffs[k]
-
-    def _compat(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order or self.num_vars != other.num_vars:
-            raise ValueError("series shapes differ (order or variable count)")
-
-    def __add__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            head = self.coeffs[0] + other
-            return TruncatedSeries(self.order, self.num_vars, (head,) + self.coeffs[1:])
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._compat(other)
-        return TruncatedSeries(
-            self.order, self.num_vars,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        if not isinstance(other, (int, Fraction, MultiPoly, TruncatedSeries)):
-            return NotImplemented
-        return self + other * -1
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            return TruncatedSeries(
-                self.order, self.num_vars, tuple(c * other for c in self.coeffs)
-            )
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._compat(other)
-        return TruncatedSeries(
-            self.order, self.num_vars,
-            truncated_mul(self.coeffs, other.coeffs, self.order, _ring_zero(self.num_vars)),
-        )
-
-    __rmul__ = __mul__
-
-    def shifted(self) -> "TruncatedSeries":
-        """Multiply by x: coefficients move up one slot, the top one drops."""
-        head = _ring_zero(self.num_vars)
-        return TruncatedSeries(self.order, self.num_vars, (head,) + self.coeffs[:-1])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.num_vars == other.num_vars
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        render = format_exact if self.num_vars is None else MultiPoly.to_string
-        parts = [f"({render(c)})*x^{k}" for k, c in enumerate(self.coeffs) if c]
-        return f"TruncatedSeries(order={self.order}, {' + '.join(parts) or '0'})"
-
-
 def solve_functional_equation(
     p: int, order: int, dims: Sequence | None = None
-) -> TruncatedSeries:
+) -> list:
     """Solve g = x * (g + d0) * (g + d1) * ... * (g + dp) to the given order.
 
-    With ``dims`` omitted the d_i are symbolic and the result is a series
-    whose x^k coefficient is the order-k limit moment polynomial times d0,
-    in ``p+1`` variables.  With ``dims`` given (p+1 exact rationals) the
-    same recurrence runs on rational coefficients, which is much faster
-    for numeric work, and the result has rational coefficients.
+    Returns the coefficient list ``g[0..order]``.  With ``dims`` omitted
+    the d_i are symbolic and ``g[k]`` is the order-k limit moment
+    polynomial times d0, in ``p+1`` variables.  With ``dims`` given (p+1
+    exact rationals) the same recurrence runs on rational coefficients,
+    which is much faster for numeric work, and the ``g[k]`` are
+    ``Fraction``s.
 
     Each coefficient of g and of the partial products
     ``F_i = prod_{j<=i} (g + d_j)`` is computed once, in increasing order:
@@ -187,14 +93,13 @@ def solve_functional_equation(
     if p < 1 or order < 0:
         raise ValueError(f"need p >= 1 and order >= 0, got p={p}, order={order}")
     if dims is None:
-        num_vars = p + 1
-        ds = [MultiPoly.variable(num_vars, i) for i in range(num_vars)]
+        ds = [MultiPoly.variable(p + 1, i) for i in range(p + 1)]
+        zero = MultiPoly(p + 1)
     else:
         if len(dims) != p + 1:
             raise ValueError(f"dims must provide p+1 = {p + 1} values, got {len(dims)}")
-        num_vars = None
         ds = [Fraction(d) for d in dims]
-    zero = _ring_zero(num_vars)
+        zero = Fraction(0)
     g = [zero]
     # partial[i + 1][n] = [x^n] F_i, filled one order at a time; partial[0] is the series 1
     partial = [[zero + 1] + [zero] * order] + [[] for _ in ds]
@@ -204,7 +109,7 @@ def solve_functional_equation(
             # (g + d) has d at x^0 and g_m at x^m; g_0 = 0 drops prev[n] * g_0
             partial[i + 1].append(prev[n] * d + product_coefficient(prev, g, n, zero))
         g.append(partial[-1][n])
-    return TruncatedSeries(order, num_vars, g)
+    return g
 
 
 def lagrange_coefficient(p: int, n: int) -> MultiPoly:

@@ -119,7 +119,7 @@ def test_criterion_03_three_way_oracle_agreement():
         for p, k in sweep_pairs(3, 16):
             closed = limit_moment_poly(p, k)
             counted = enumerated_moment_poly(p, k)
-            solved = solve_functional_equation(p, k).coefficient(k).divide_by_variable(0)
+            solved = solve_functional_equation(p, k)[k].divide_by_variable(0)
             assert closed == counted, (p, k, "enumeration")
             assert closed == solved, (p, k, "series")
 

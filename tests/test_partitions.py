@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fussnarayana import partitions
 from fussnarayana.exact import fuss_catalan, fuss_narayana_number, limit_moment_poly
 from fussnarayana.partitions import (
     BudgetError,
@@ -259,6 +260,25 @@ def test_verify_product_decomposition_clean():
         report = verify_product_decomposition(p, k_max)
         assert report.ok, report.mismatches[:5]
         assert report.checks > 0
+
+
+@pytest.mark.parametrize("shift,order,first_failure", [(0, 1, 1), (0, 2, 2), (1, 1, 2), (2, 1, 2)])
+def test_verify_product_decomposition_catches_a_planted_coefficient(
+    monkeypatch, shift, order, first_failure
+):
+    # one profile polynomial off by one: G_0 breaks the left side at its own
+    # order, G_1 and G_2 break the right side one order up (the factor x)
+    honest = partitions._poly_from_histogram
+
+    def planted(p, s, k, budget):
+        poly = honest(p, s, k, budget)
+        return poly + 1 if (s, k) == (shift, order) else poly
+
+    monkeypatch.setattr(partitions, "_poly_from_histogram", planted)
+    report = verify_product_decomposition(2, 2)
+    assert not report.ok
+    assert report.mismatches[0].startswith(f"series identity fails at order {first_failure}: ")
+    assert all(m.startswith("series identity fails at order") for m in report.mismatches)
 
 
 def test_verify_respects_budget():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fussnarayana.exact import limit_moment_poly
 from fussnarayana.poly import MultiPoly
 from fussnarayana.series import (
-    TruncatedSeries,
     lagrange_coefficient,
     solve_functional_equation,
     truncated_compose,
@@ -18,58 +17,21 @@ from fussnarayana.series import (
 )
 
 
-def constant_series(order, num_vars, value):
-    head = MultiPoly.constant(num_vars, value)
-    return TruncatedSeries(order, num_vars, [head] + [MultiPoly(num_vars)] * order)
-
-
-def test_series_shape_validation():
-    with pytest.raises(ValueError):
-        TruncatedSeries(2, 1, [MultiPoly(1)] * 2)
-    with pytest.raises(ValueError):
-        TruncatedSeries(2, 1, [MultiPoly(2)] * 3)
-    a = TruncatedSeries.zero(2, 1)
-    b = TruncatedSeries.zero(3, 1)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a * b
-    with pytest.raises(ValueError):
-        a.coefficient(3)
-
-
 def test_series_arithmetic_truncates():
-    x_poly = MultiPoly.variable(1, 0)
-    # s = 1 + t x + t x^2 over one variable t
-    s = TruncatedSeries(2, 1, [MultiPoly.constant(1, 1), x_poly, x_poly])
-    sq = s * s
-    assert sq.coefficient(0) == MultiPoly.constant(1, 1)
-    assert sq.coefficient(1) == 2 * x_poly
-    assert sq.coefficient(2) == 2 * x_poly + x_poly * x_poly
-    shifted = s.shifted()
-    assert shifted.coefficient(0).is_zero
-    assert shifted.coefficient(1) == MultiPoly.constant(1, 1)
-    assert shifted.coefficient(2) == x_poly
+    t = MultiPoly.variable(1, 0)
+    one = MultiPoly.constant(1, 1)
+    # s = 1 + t x + t x^2 over one variable t; s^2 through x^2
+    s = [one, t, t]
+    assert truncated_mul(s, s, 2, MultiPoly(1)) == [one, 2 * t, 2 * t + t * t]
 
 
 def test_series_products_drop_terms_past_the_order():
-    one = constant_series(2, 0, 1)
-    x = constant_series(2, 0, 1).shifted()
-    # (1 + x)(1 - x) keeps the x^2 term at order 2
-    assert ((one + x) * (one - x)).coefficient(2) == MultiPoly.constant(0, -1)
+    zero, one = MultiPoly(0), MultiPoly.constant(0, 1)
     # at order 1 the product x * x has nowhere to put x^2, so it is zero
-    x_short = constant_series(1, 0, 1).shifted()
-    prod = x_short * x_short
-    assert prod.order == 1
-    assert all(prod.coefficient(k).is_zero for k in range(2))
-
-
-def test_series_scalar_and_poly_operands():
-    s = constant_series(2, 1, 3)
-    t_poly = MultiPoly.variable(1, 0)
-    assert (s + t_poly).coefficient(0) == MultiPoly.constant(1, 3) + t_poly
-    assert (s - 1).coefficient(0) == MultiPoly.constant(1, 2)
-    assert (s * Fraction(1, 3)).coefficient(0) == MultiPoly.constant(1, 1)
+    assert truncated_mul([zero, one], [zero, one], 1, zero) == [zero, zero]
+    # (1 + x)(1 - x) keeps the x^2 term at order 2
+    product = truncated_mul([one, one, zero], [one, -one, zero], 2, zero)
+    assert product == [one, zero, MultiPoly.constant(0, -1)]
 
 
 def test_solver_small_golden():
@@ -77,9 +39,10 @@ def test_solver_small_golden():
     g = solve_functional_equation(1, 2)
     d0 = MultiPoly.variable(2, 0)
     d1 = MultiPoly.variable(2, 1)
-    assert g.coefficient(0).is_zero
-    assert g.coefficient(1) == d0 * d1
-    assert g.coefficient(2) == d0 * d0 * d1 + d0 * d1 * d1
+    assert len(g) == 3
+    assert not g[0]
+    assert g[1] == d0 * d1
+    assert g[2] == d0 * d0 * d1 + d0 * d1 * d1
 
 
 def test_solver_rejects_bad_arguments():
@@ -97,12 +60,14 @@ def test_solution_satisfies_its_equation(p, order):
     # in every kept order (the x factor protects the top coefficient)
     g = solve_functional_equation(p, order)
     num_vars = p + 1
-    acc = g + MultiPoly.variable(num_vars, 0)
-    for i in range(1, num_vars):
-        acc = acc * (g + MultiPoly.variable(num_vars, i))
-    residual = g - acc.shifted()
+    zero = MultiPoly(num_vars)
+    acc = [MultiPoly.constant(num_vars, 1)]
+    for i in range(num_vars):
+        factor = [g[0] + MultiPoly.variable(num_vars, i)] + g[1:]
+        acc = truncated_mul(acc, factor, order, zero)
+    rhs = [zero] + acc[:-1]
     for k in range(order + 1):
-        assert residual.coefficient(k).is_zero, f"residual at order {k}"
+        assert g[k] == rhs[k], f"residual at order {k}"
 
 
 def test_solver_coefficients_are_moment_polynomials():
@@ -111,7 +76,7 @@ def test_solver_coefficients_are_moment_polynomials():
         g = solve_functional_equation(p, order)
         d0 = MultiPoly.variable(p + 1, 0)
         for k in range(1, order + 1):
-            assert g.coefficient(k) == d0 * limit_moment_poly(p, k)
+            assert g[k] == d0 * limit_moment_poly(p, k)
 
 
 rationals = st.fractions(min_value=Fraction(1, 7), max_value=Fraction(4), max_denominator=9)
@@ -124,7 +89,7 @@ def test_numeric_mode_matches_symbolic_evaluation(p, order, data):
     numeric = solve_functional_equation(p, order, dims=dims)
     symbolic = solve_functional_equation(p, order)
     for k in range(order + 1):
-        assert numeric.coefficient(k) == symbolic.coefficient(k).evaluate(dims)
+        assert numeric[k] == symbolic[k].evaluate(dims)
 
 
 def test_lagrange_against_direct_expansion():
@@ -143,7 +108,7 @@ def test_lagrange_against_direct_expansion():
 def test_lagrange_matches_solver(p, order):
     g = solve_functional_equation(p, order)
     for n in range(1, order + 1):
-        assert lagrange_coefficient(p, n) == g.coefficient(n)
+        assert lagrange_coefficient(p, n) == g[n]
 
 
 def test_lagrange_coefficients_are_integers():
@@ -184,13 +149,3 @@ def test_kernel_is_generic_over_the_coefficient_ring():
     assert symbolic == [one, 2 * t]
     numeric = truncated_mul([Fraction(1), Fraction(3)], [Fraction(1), Fraction(3)], 1, Fraction(0))
     assert numeric == [c.evaluate([3]) for c in symbolic]
-
-
-def test_rational_series_reject_polynomial_coefficients():
-    s = TruncatedSeries(2, None, [Fraction(1), Fraction(1, 2), Fraction(0)])
-    assert s.coefficient(1) == Fraction(1, 2)
-    assert (s * s).coefficient(2) == Fraction(1, 4)
-    with pytest.raises(ValueError):
-        TruncatedSeries(1, None, [MultiPoly.constant(0, 1), Fraction(0)])
-    with pytest.raises(ValueError):
-        s + TruncatedSeries.zero(2, 0)
