@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 

@@ -15,7 +15,20 @@ error gate at n of a few hundred will flag, especially at higher k.
 
 Every trial uses its own generator seeded as (seed, trial_index), so
 results are reproducible; trial statistics are aggregated after all
-trials finish.
+trials finish.  The generator stream is laid out block by block, left
+to right, and within a complex block the real part is drawn before the
+imaginary part.  Each complex block is one buffer whose real and
+imaginary parts are filled from the draws, and the 1/sqrt(2 n) (or
+1/sqrt(n)) scale is applied once, to the product.  The blocks are
+multiplied in the order of fewest scalar multiply-adds (the matrix-chain
+dynamic program), which is left to right for p <= 2, and the trace
+powers are paired: Tr G^(a+b) = <G^b, G^a> for the Hermitian Gram
+matrix G, so orders up to K need ceil(K/2) - 1 matrix products.
+
+A trial's arrays (the blocks and the largest chain intermediate, taken
+as complex, plus one real draw temporary) must fit in
+``MAX_TRIAL_BYTES``; ``DimensionProfile.from_targets`` rejects larger
+profiles.
 """
 
 from __future__ import annotations
@@ -29,7 +42,51 @@ import numpy as np
 from .exact import limit_moment_poly
 
 _ENSEMBLES = ("complex", "real")
-_MAX_DIM = 20_000
+
+MAX_TRIAL_BYTES = 1 << 30
+"""Cap on the estimated bytes one trial holds at once (1 GiB)."""
+
+
+def _chain_steps(dims: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The cheapest multiplication order of blocks with boundary dimensions ``dims``.
+
+    Block j is dims[j] x dims[j + 1].  A step (i, s, j) multiplies the
+    product of blocks i..s by that of blocks s+1..j; the steps are in
+    evaluation order.  The cut of each sub-chain comes from the textbook
+    matrix-chain dynamic program over multiply-add counts, and ties keep
+    the left-to-right cut.
+    """
+    p = len(dims) - 1
+    cost = {(i, i): 0 for i in range(p)}
+    cut = {}
+    for length in range(2, p + 1):
+        for i in range(p - length + 1):
+            j = i + length - 1
+            for s in range(j - 1, i - 1, -1):
+                c = cost[i, s] + cost[s + 1, j] + dims[i] * dims[s + 1] * dims[j + 1]
+                if s == j - 1 or c < cost[i, j]:
+                    cost[i, j], cut[i, j] = c, s
+    steps = []
+
+    def visit(i: int, j: int) -> None:
+        if i < j:
+            visit(i, cut[i, j])
+            visit(cut[i, j] + 1, j)
+            steps.append((i, cut[i, j], j))
+
+    visit(0, p - 1)
+    return steps
+
+
+def _trial_bytes(dims: Sequence[int]) -> int:
+    """Bytes of the arrays one complex trial holds at once, estimated.
+
+    The p blocks, one real draw temporary the size of the largest block,
+    and the largest intermediate of the cost-ordered chain product.
+    """
+    blocks = [a * b for a, b in zip(dims, dims[1:])]
+    intermediates = [dims[i] * dims[j + 1] for i, _, j in _chain_steps(dims)]
+    return 16 * sum(blocks) + 8 * max(blocks) + 16 * max(intermediates, default=0)
 
 
 @dataclass(frozen=True)
@@ -54,9 +111,11 @@ class DimensionProfile:
         if n < 1:
             raise ValueError(f"scale must be >= 1, got {n}")
         realized = tuple(max(1, math.floor(x * n + 0.5)) for x in d)
-        if max(realized) > _MAX_DIM:
+        estimate = _trial_bytes(realized)
+        if estimate > MAX_TRIAL_BYTES:
             raise ValueError(
-                f"realized dimension {max(realized)} exceeds the safety cap {_MAX_DIM}"
+                f"realized dimensions {realized} need an estimated {estimate} bytes "
+                f"per trial, over the cap of {MAX_TRIAL_BYTES} bytes (1 GiB)"
             )
         return cls(d=d, n=n, realized=realized)
 
@@ -136,42 +195,51 @@ def sample_product(
 
     Blocks are drawn left to right; for the complex ensemble the real
     part of each block is drawn before its imaginary part, which pins
-    the generator stream layout for reproducibility.
+    the generator stream layout for reproducibility.  The blocks are
+    multiplied in the cheapest order and the product is scaled once.
     """
     if ensemble not in _ENSEMBLES:
         raise ValueError(f"ensemble must be one of {_ENSEMBLES}, got {ensemble!r}")
-    n = profile.n
     dims = profile.realized
-    product = None
-    for j in range(1, len(dims)):
-        shape = (dims[j - 1], dims[j])
+    partial = {}  # (i, j) -> product of blocks i..j
+    for j, shape in enumerate(zip(dims, dims[1:])):
         if ensemble == "complex":
-            block = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            block /= math.sqrt(2 * n)
+            block = np.empty(shape, complex)
+            block.real = rng.standard_normal(shape)
+            block.imag = rng.standard_normal(shape)
         else:
-            block = rng.standard_normal(shape) / math.sqrt(n)
-        product = block if product is None else product @ block
+            block = rng.standard_normal(shape)
+        partial[j, j] = block
+    for i, s, j in _chain_steps(dims):
+        partial[i, j] = partial.pop((i, s)) @ partial.pop((s + 1, j))
+    (product,) = partial.values()
+    product /= math.sqrt(2 * profile.n if ensemble == "complex" else profile.n) ** profile.p
     return product
 
 
 def trace_moments(product: np.ndarray, profile: DimensionProfile, k_max: int) -> np.ndarray:
     """Normalized trace moments (1/N_0) Tr (B B*)^k for k = 1..k_max.
 
-    Powers are accumulated on the smaller Gram matrix of B, which has
-    the same nonzero spectrum as the larger one.
+    Powers are taken of the smaller Gram matrix G of B, which has the
+    same nonzero spectrum as the larger one.  G is Hermitian, so
+    Tr G^k = <G^floor(k/2), G^ceil(k/2)>, and only G^1..G^ceil(k_max/2)
+    are formed, two at a time.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     rows, cols = product.shape
     adjoint = product.conj().T
     gram = (adjoint @ product) if cols <= rows else (product @ adjoint)
-    out = np.empty(k_max)
-    power = gram
-    for k in range(1, k_max + 1):
-        out[k - 1] = np.trace(power).real / profile.realized[0]
-        if k < k_max:
-            power = power @ gram
-    return out
+    traces = np.empty(k_max)
+    traces[0] = np.trace(gram).real
+    low = high = gram  # G^floor(k/2) and G^ceil(k/2)
+    for k in range(2, k_max + 1):
+        if k % 2:
+            high = low @ gram
+        else:
+            low = high
+        traces[k - 1] = np.vdot(low, high).real
+    return traces / profile.realized[0]
 
 
 def _one_trial(config: McConfig, trial: int) -> np.ndarray:

@@ -14,7 +14,6 @@ errors at that size for k = 3.
 
 import io
 import json
-import math
 import time
 from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction

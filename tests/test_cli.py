@@ -257,6 +257,12 @@ def test_mc_invalid_dims(capsys):
     assert code == 2 and "two ratios" in err
 
 
+def test_mc_rejects_a_trial_over_the_memory_cap(capsys):
+    code, out, err = run_cli(capsys, "mc", "-d", "1,1", "-n", "20000", "-K", "2", "--trials", "4")
+    assert code == 2 and out == ""
+    assert "estimated 9600000000 bytes per trial, over the cap of 1073741824 bytes" in err
+
+
 # -- diagram ---------------------------------------------------------------------
 
 def test_diagram_writes_svg(capsys, tmp_path):

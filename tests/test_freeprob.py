@@ -1,6 +1,5 @@
 """Tests for Marchenko-Pastur laws and free multiplicative convolution moments."""
 
-import math
 import random
 from fractions import Fraction
 

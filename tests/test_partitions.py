@@ -1,7 +1,5 @@
 """Tests for words, adapted noncrossing matchings, profiles, and the rotation."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +8,6 @@ from fussnarayana import partitions
 from fussnarayana.exact import fuss_catalan, fuss_narayana_number, limit_moment_poly
 from fussnarayana.partitions import (
     BudgetError,
-    Letter,
     PairPartition,
     WordSpec,
     base_word,

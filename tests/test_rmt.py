@@ -15,6 +15,8 @@ from fussnarayana.rmt import (
     McConfig,
     McResult,
     MomentStat,
+    _chain_steps,
+    _trial_bytes,
     run_experiment,
     sample_product,
     trace_moments,
@@ -46,6 +48,103 @@ def test_dimension_profile_rounding():
         DimensionProfile.from_targets((1.0, 1.0), 0)
     with pytest.raises(ValueError):
         DimensionProfile.from_targets((1.0, 5000.0), 100)
+
+
+def test_trial_memory_cap():
+    # one 100 x 500000 complex block (0.8 GB) plus its real draw temporary
+    assert _trial_bytes((100, 500_000)) == 1_200_000_000
+    # a 20000 x 20000 complex block is 6.4 GB, although no side passes 20000
+    with pytest.raises(ValueError, match=r"estimated 9600000000 bytes .* cap of 1073741824 bytes"):
+        DimensionProfile.from_targets((1.0, 1.0), 20_000)
+    # blocks 300x450 and 450x150, draw temporary 300x450, intermediate 300x150
+    assert _trial_bytes((300, 450, 150)) == 16 * 202_500 + 8 * 135_000 + 16 * 45_000
+    # the largest intermediate is that of the cheapest order: (400x1)(1x400) is never formed
+    assert _trial_bytes((400, 1, 400, 1)) == 16 * 1200 + 8 * 400 + 16 * 400
+
+
+def _chain_cost(dims, steps):
+    return sum(dims[i] * dims[s + 1] * dims[j + 1] for i, s, j in steps)
+
+
+def _all_orders(i, j):
+    """Every parenthesization of blocks i..j, as step lists in evaluation order."""
+    if i == j:
+        yield []
+        return
+    for s in range(i, j):
+        for left in _all_orders(i, s):
+            for right in _all_orders(s + 1, j):
+                yield left + right + [(i, s, j)]
+
+
+def test_chain_order_is_the_cheapest():
+    # left to right costs 312.5 M multiply-adds, A1 (A2 A3) 250 M
+    assert _chain_steps((500, 1000, 500, 250)) == [(1, 1, 2), (0, 0, 2)]
+    assert _chain_cost((500, 1000, 500, 250), [(1, 1, 2), (0, 0, 2)]) == 250_000_000
+    assert _chain_steps((300, 450, 150)) == [(0, 0, 1)]
+    assert _chain_steps((7, 3)) == []
+    # ties keep the left-to-right order
+    assert _chain_steps((4, 4, 4, 4, 4)) == [(0, 0, 1), (0, 1, 2), (0, 2, 3)]
+    rng = np.random.default_rng(2)
+    for p in range(2, 7):
+        for _ in range(20):
+            dims = tuple(int(x) for x in rng.integers(1, 30, size=p + 1))
+            steps = _chain_steps(dims)
+            assert sorted(steps) == sorted(set(steps)) and len(steps) == p - 1
+            best = min(_chain_cost(dims, order) for order in _all_orders(0, p - 1))
+            assert _chain_cost(dims, steps) == best, dims
+
+
+def _left_to_right_product(profile, rng, ensemble):
+    # the draw-and-multiply recipe the generator stream was pinned with
+    n = profile.n
+    dims = profile.realized
+    product = None
+    for shape in zip(dims, dims[1:]):
+        if ensemble == "complex":
+            block = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2 * n)
+        else:
+            block = rng.standard_normal(shape) / math.sqrt(n)
+        product = block if product is None else product @ block
+    return product
+
+
+@pytest.mark.parametrize("ensemble", ["complex", "real"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_sample_product_keeps_the_generator_stream(p, ensemble):
+    # (1, 2, 1, 0.5) at p = 3 is multiplied as A1 (A2 A3), not left to right
+    profile = DimensionProfile.from_targets((1.0, 2.0, 1.0, 0.5)[: p + 1], 30)
+    if p == 3:
+        assert _chain_steps(profile.realized) == [(1, 1, 2), (0, 0, 2)]
+    for trial in range(3):
+        rng = np.random.default_rng([5, trial])
+        recipe_rng = np.random.default_rng([5, trial])
+        product = sample_product(profile, rng, ensemble)
+        expected = _left_to_right_product(profile, recipe_rng, ensemble)
+        assert product.dtype == expected.dtype
+        # 1e-12 relative to the largest entry: an entry whose terms cancel
+        # keeps only the absolute accuracy of the larger terms
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(product, expected, rtol=1e-12, atol=1e-12 * scale)
+        assert rng.bit_generator.state == recipe_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("ensemble", ["complex", "real"])
+@pytest.mark.parametrize("d", [(1.0, 1.5, 0.6), (0.6, 1.5, 1.0)])
+def test_paired_trace_powers_match_the_power_loop(d, ensemble):
+    # (1.0, 1.5, 0.6) takes B* B (cols <= rows), (0.6, 1.5, 1.0) takes B B*
+    profile = DimensionProfile.from_targets(d, 20)
+    product = sample_product(profile, np.random.default_rng(4), ensemble)
+    rows, cols = product.shape
+    adjoint = product.conj().T
+    gram = (adjoint @ product) if cols <= rows else (product @ adjoint)
+    for k_max in range(1, 10):
+        naive = np.empty(k_max)
+        power = gram
+        for k in range(k_max):
+            naive[k] = np.trace(power).real / rows
+            power = power @ gram
+        np.testing.assert_allclose(trace_moments(product, profile, k_max), naive, rtol=1e-12, atol=0)
 
 
 def test_config_validation():
