@@ -2,8 +2,9 @@
 """Compute limiting moment polynomials three independent ways.
 
 The closed form sums refined binomial counts over lattice compositions.
-The combinatorial route enumerates noncrossing pair partitions adapted
-to a repeated word and tallies their leg profiles.  The analytic route
+The combinatorial route counts noncrossing pair partitions adapted to a
+repeated word by their leg profiles, with the first-block recurrence on
+intervals of the periodic word.  The analytic route
 solves the functional equation as a power series and reads off
 coefficients.  The three
 answers agree coefficient by coefficient, which is the point of running

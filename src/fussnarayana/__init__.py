@@ -7,7 +7,8 @@ Layers, from the inside out:
 * :mod:`~fussnarayana.exact`: closed-form Fuss-Catalan and
   Fuss-Narayana counts and the limit moment polynomials.
 * :mod:`~fussnarayana.partitions`: noncrossing pair matchings adapted
-  to repeated words; the enumeration oracle for the closed forms.
+  to repeated words, counted by an interval recurrence and listed by
+  brute enumeration; the combinatorial oracle for the closed forms.
 * :mod:`~fussnarayana.freeprob`: Marchenko-Pastur laws, moments of
   their free multiplicative convolutions, S-transform and quadrature
   cross-checks.

@@ -232,7 +232,7 @@ def _oracle_sweep(p: int, k_max: int, budget: int):
             report.tally(closed == via_series,
                          f"k={k}: closed form and series solver disagree")
             refined, total = exact.vandermonde_decomposition(p, k)
-            # the cached histogram behind `counted`: no second enumeration
+            # recounted by the interval recurrence, which lists no matching
             count = sum(partitions.profile_histogram(p, k, 0, budget).values())
             report.tally(refined == total == count,
                          f"k={k}: counts disagree: {refined}, {total}, {count}")

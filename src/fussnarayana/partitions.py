@@ -27,6 +27,15 @@ matching on a length-2pk word always sum to pk, the number of blocks.
 For the shift-0 word the generating polynomial of profiles equals the
 limit moment polynomial.
 
+Counting and listing.  ``profile_histogram`` (and with it
+``enumerated_moment_poly`` and ``profile_count``) counts matchings by
+profile with the first-block recurrence on intervals of the periodic
+word, without building a matching.  ``enumerate_adapted`` and
+``leg_profile`` list and profile them one by one; the verification
+sweeps read that brute histogram, because the identities they check
+are the recurrence the counter relies on.  Both ways refuse words
+longer than the budget (``BudgetError``).
+
 Cover rotation.  ``rotate_cover`` is the bijection on noncrossing pair
 matchings that removes the block opened at the first position, slides
 everything one step left, and re-closes that block around what used to
@@ -39,7 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from .poly import MultiPoly
@@ -256,33 +264,68 @@ def leg_profile(pi: PairPartition, word: Sequence[Letter]) -> tuple[int, ...]:
     return tuple(profile)
 
 
-@lru_cache(maxsize=None)
-def _profile_histogram_cached(p: int, shift: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    spec = WordSpec(p, shift, k)
-    word = build_word(spec)
-    hist: dict[tuple[int, ...], int] = {}
-    for pi in enumerate_adapted(spec, budget=2 * p * k):
-        prof = leg_profile(pi, word)
-        hist[prof] = hist.get(prof, 0) + 1
-    return tuple(sorted(hist.items()))
-
-
 def profile_histogram(
     p: int, k: int, shift: int = 0, budget: int = DEFAULT_BUDGET
 ) -> dict[tuple[int, ...], int]:
-    """Counts of adapted matchings by leg profile, as a fresh dict."""
-    if k == 0:
-        WordSpec(p, shift, 0)  # validate arguments
-        return {(0,) * (p + 1): 1}
-    _check_budget(p, k, budget)
-    return dict(_profile_histogram_cached(p, shift, k))
+    """Counts of adapted matchings by leg profile, as a fresh dict sorted by profile.
+
+    Counted by the first-block recurrence, without listing a matching.
+    The word is 2p-periodic, so the histogram of an interval depends only
+    on its start offset mod 2p and its length L.  The interval's first
+    position pairs with each position at odd distance m that carries
+    its mate; that block feeds the slot of its right-leg letter, the
+    ``leg_profile`` rule, and the rest splits into the inside interval
+    (offset + 1, m - 1) and the outside one (offset + m + 1, L - m - 1).
+    The table of interval histograms lives for one call.  The budget
+    caps 2pk exactly as for ``enumerate_adapted``.
+    """
+    if k:
+        _check_budget(p, k, budget)
+    WordSpec(p, shift, k)  # validate arguments
+    period, size = 2 * p, 2 * p * k
+    letters = base_word(p, shift)
+    # Profiles are packed into one int, slot s as the digit of radix**s, so
+    # adding profiles is adding ints; no slot exceeds the pk blocks.
+    radix = p * k + 1
+    first_mate, unit = [], []
+    for a, letter in enumerate(letters):
+        m = next(m for m in range(1, period, 2) if letters[(a + m) % period] == letter.mate())
+        right = letters[(a + m) % period]
+        first_mate.append(m)
+        unit.append(radix ** (right.index if right.starred else right.index - 1))
+
+    table: dict[tuple[int, int], dict[int, int]] = {(a, 0): {0: 1} for a in range(period)}
+    for length in range(2, size + 1, 2):
+        # the whole word is the one interval of full length asked for
+        for a in range(period) if length < size else (0,):
+            hist: dict[int, int] = {}
+            block = unit[a]
+            for m in range(first_mate[a], length, period):
+                inner = table[(a + 1) % period, m - 1]
+                outer = table[(a + m + 1) % period, length - m - 1]
+                for key_in, count_in in inner.items():
+                    key_in += block
+                    for key_out, count_out in outer.items():
+                        key = key_in + key_out
+                        hist[key] = hist.get(key, 0) + count_in * count_out
+            table[a, length] = hist
+
+    def unpack(key: int) -> tuple[int, ...]:
+        slots = []
+        for _ in range(p + 1):
+            key, digit = divmod(key, radix)
+            slots.append(digit)
+        return tuple(slots)
+
+    return dict(sorted((unpack(key), count) for key, count in table[0, size].items()))
 
 
 def enumerated_moment_poly(p: int, k: int, budget: int = DEFAULT_BUDGET) -> MultiPoly:
-    """Limit moment polynomial assembled by brute-force enumeration.
+    """Limit moment polynomial assembled from the adapted noncrossing matchings.
 
-    Sums one monomial d0^j0 ... dp^jp per adapted noncrossing matching of
-    the k-fold shift-0 word, with j the leg profile.  Independent of the
+    One monomial d0^j0 ... dp^jp per adapted noncrossing matching of the
+    k-fold shift-0 word, with j the leg profile, summed by
+    :func:`profile_histogram`'s interval recurrence.  Independent of the
     closed-form route: no binomial is ever computed here.
     """
     if k == 0:
@@ -355,6 +398,23 @@ def rotate_cover_inverse(pi: PairPartition) -> PairPartition:
 # -- verification sweeps -----------------------------------------------------
 
 
+def _enumerated_histogram(p: int, k: int, shift: int, budget: int) -> dict[tuple[int, ...], int]:
+    """``profile_histogram`` by listing every matching, sorted by profile.
+
+    The sweeps below check the first-block recurrence that
+    ``profile_histogram`` counts by, so they read this one instead.
+    """
+    if k == 0:
+        return {(0,) * (p + 1): 1}
+    spec = WordSpec(p, shift, k)
+    word = build_word(spec)
+    hist: dict[tuple[int, ...], int] = {}
+    for pi in enumerate_adapted(spec, budget):
+        prof = leg_profile(pi, word)
+        hist[prof] = hist.get(prof, 0) + 1
+    return dict(sorted(hist.items()))
+
+
 def verify_shift_identity(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> Report:
     """Exhaustively check the profile relation between shifted and base words.
 
@@ -366,15 +426,14 @@ def verify_shift_identity(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> R
     """
     report = Report(name=f"shift-identity p={p} k<={k_max}")
     for k in range(1, k_max + 1):
-        _check_budget(p, k, budget)
-        hist0 = profile_histogram(p, k, 0, budget)
+        hist0 = _enumerated_histogram(p, k, 0, budget)
         for r in hist0:
             report.tally(
                 all(r[i] >= 1 for i in range(1, p + 1)),
                 lambda: f"k={k}: base-word profile {r} has an empty slot above 0",
             )
         for i in range(1, p + 1):
-            hist_i = profile_histogram(p, k, i, budget)
+            hist_i = _enumerated_histogram(p, k, i, budget)
             for q, count in sorted(hist_i.items()):
                 report.tally(
                     q[0] >= 1,
@@ -405,11 +464,8 @@ def verify_shift_identity(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> R
     return report
 
 
-def _poly_from_histogram(p: int, shift: int, k: int, budget: int) -> MultiPoly:
-    return MultiPoly(
-        p + 1,
-        {prof: Fraction(c) for prof, c in profile_histogram(p, k, shift, budget).items()},
-    )
+def _poly_from_histogram(p: int, shift: int, k: int, hists: dict) -> MultiPoly:
+    return MultiPoly(p + 1, {prof: Fraction(c) for prof, c in hists[(shift, k)].items()})
 
 
 def _histogram_product(
@@ -440,9 +496,14 @@ def verify_product_decomposition(p: int, k_max: int, budget: int = DEFAULT_BUDGE
     for k in range(1, k_max + 1):
         _check_budget(p, k, budget)
     num_vars = p + 1
+    hists = {
+        (shift, k): _enumerated_histogram(p, k, shift, budget)
+        for shift in range(p + 1)
+        for k in range(k_max + 1)
+    }
 
     series = [
-        [_poly_from_histogram(p, shift, k, budget) for k in range(k_max + 1)]
+        [_poly_from_histogram(p, shift, k, hists) for k in range(k_max + 1)]
         for shift in range(p + 1)
     ]
     d_product = MultiPoly.constant(num_vars, 1)
@@ -459,11 +520,6 @@ def verify_product_decomposition(p: int, k_max: int, budget: int = DEFAULT_BUDGE
             lambda: f"series identity fails at order {k}: {(lhs[k] - rhs[k]).to_string()}",
         )
 
-    hists = {
-        (shift, k): profile_histogram(p, k, shift, budget)
-        for shift in range(p + 1)
-        for k in range(k_max + 1)
-    }
     from .exact import _compositions  # composition generator shared with the closed form
 
     for k in range(1, k_max + 1):

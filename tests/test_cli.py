@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from fussnarayana import cli
+from fussnarayana import cli, partitions
 from fussnarayana.report import Report
 
 
@@ -136,6 +136,41 @@ def test_verify_oracle_with_budget(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] is True
+
+
+def test_verify_oracle_reaches_past_enumeration(capsys):
+    # p = 1, k = 15 alone has Catalan(15) ~ 9.7e6 matchings; the
+    # interval recurrence counts them without listing one
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--pk-budget", "30")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] is True
+    assert [r["name"] for r in doc["reports"]] == [
+        "three-route agreement p=1 k<=15",
+        "three-route agreement p=2 k<=7",
+        "three-route agreement p=3 k<=5",
+    ]
+
+
+@pytest.mark.parametrize("p,k", [(1, 5), (2, 3), (3, 2)])
+def test_verify_oracle_catches_a_planted_count(capsys, monkeypatch, p, k):
+    honest = partitions.profile_histogram
+
+    def planted(p_, k_, shift=0, budget=partitions.DEFAULT_BUDGET):
+        hist = honest(p_, k_, shift, budget)
+        if (p_, k_) == (p, k):
+            first = next(iter(hist))
+            hist[first] += 1
+        return hist
+
+    monkeypatch.setattr(partitions, "profile_histogram", planted)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--pk-budget", "16")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    mismatches = [m for r in doc["reports"] for m in r["mismatches"]]
+    assert f"k={k}: closed form and enumeration disagree" in mismatches
+    assert all(m.startswith(f"k={k}: ") for m in mismatches)
 
 
 def test_verify_freeprob(capsys):

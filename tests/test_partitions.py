@@ -1,5 +1,7 @@
 """Tests for words, adapted noncrossing matchings, profiles, and the rotation."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,6 +171,20 @@ def test_profile_histogram_and_counts():
     assert profile_count(2, 3, (1, 2, 3)) == fuss_narayana_number(3, (2, 2, 3))
 
 
+def test_profile_histogram_equals_brute_enumeration():
+    # the interval recurrence against a tally of every listed matching,
+    # items in profile order
+    for p in range(1, 9):
+        for shift in range(p + 1):
+            assert profile_histogram(p, 0, shift) == {(0,) * (p + 1): 1}
+            for k in range(1, 16 // (2 * p) + 1):
+                spec = WordSpec(p, shift, k)
+                word = build_word(spec)
+                brute = Counter(leg_profile(pi, word) for pi in enumerate_adapted(spec, 16))
+                hist = profile_histogram(p, k, shift, 16)
+                assert list(hist.items()) == sorted(brute.items()), (p, shift, k)
+
+
 def test_profiles_sum_to_block_count():
     for p, k in [(1, 4), (2, 2), (3, 2)]:
         for shift in range(p + 1):
@@ -276,6 +292,18 @@ def test_verify_product_decomposition_catches_a_planted_coefficient(
     assert not report.ok
     assert report.mismatches[0].startswith(f"series identity fails at order {first_failure}: ")
     assert all(m.startswith("series identity fails at order") for m in report.mismatches)
+
+
+def test_lemma_sweeps_never_read_the_interval_count(monkeypatch):
+    # the sweeps check the recurrence profile_histogram counts by, so they
+    # must stand on brute enumeration alone
+    def unavailable(*args, **kwargs):
+        raise AssertionError("profile_histogram called from a lemma sweep")
+
+    monkeypatch.setattr(partitions, "profile_histogram", unavailable)
+    for sweep in (verify_shift_identity, verify_product_decomposition):
+        report = sweep(2, 2)
+        assert report.ok and report.checks > 0, report.mismatches[:5]
 
 
 def test_verify_respects_budget():
