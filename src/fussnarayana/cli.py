@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("-p", type=int, default=None, help="restrict to one factor count")
     verify.add_argument("--k-max", type=int, default=None, help="largest order to sweep")
     verify.add_argument("--pk-budget", type=int, default=None,
-                        help="oracle suite: sweep every p <= 3 with 2*p*k up to this cap")
+                        help="oracle suite: sweep each p <= 3 (or -p) with 2*p*k up to this cap")
     verify.set_defaults(func=cmd_verify)
 
     moments = sub.add_parser("moments", help="free convolution moments as CSV")
@@ -185,30 +185,45 @@ def cmd_enumerate(args) -> int:
             ],
         }, indent=2))
         return 0
-    count = sum(1 for _ in partitions.enumerate_adapted(spec, budget=budget))
-    print(count)
+    hist = partitions.profile_histogram(args.p, args.k, args.shift, budget=budget)
+    print(sum(hist.values()))
     return 0
 
 
 def cmd_verify(args) -> int:
+    """Run one suite; a flag the suite does not read, or an empty sweep, is an error."""
     budget = _budget()
+    unread = {"lemmas": [("--pk-budget", args.pk_budget)],
+              "freeprob": [("-p", args.p), ("--pk-budget", args.pk_budget)]}
+    for flag, value in unread.get(args.suite, []):
+        if value is not None:
+            raise ValueError(f"verify --suite {args.suite} does not read {flag}")
+    for flag, value in (("-p", args.p), ("--k-max", args.k_max)):
+        if value is not None and value < 1:
+            raise ValueError(f"verify needs {flag} >= 1, got {value}")
     reports = []
     if args.suite == "lemmas":
-        pairs = [(args.p, args.k_max or 2)] if args.p else [(1, 4), (2, 2), (3, 2)]
+        if args.p is not None:
+            pairs = [(args.p, 2 if args.k_max is None else args.k_max)]
+        elif args.k_max is not None:
+            pairs = [(p, args.k_max) for p in (1, 2, 3)]
+        else:
+            pairs = [(1, 4), (2, 2), (3, 2)]
         for p, k_max in pairs:
             reports.append(partitions.verify_shift_identity(p, k_max, budget=budget))
             reports.append(partitions.verify_product_decomposition(p, k_max, budget=budget))
     elif args.suite == "oracle":
         cap = args.pk_budget if args.pk_budget is not None else max(budget, 16)
-        if args.p and args.k_max:
-            pairs = [(args.p, args.k_max)]
-        else:
-            pairs = [(p, cap // (2 * p)) for p in (1, 2, 3) if cap // (2 * p) >= 1]
+        ps = (1, 2, 3) if args.p is None else (args.p,)
+        pairs = [(p, cap // (2 * p) if args.k_max is None else args.k_max) for p in ps]
+        pairs = [(p, k_max) for p, k_max in pairs if k_max >= 1]
+        if not pairs:
+            raise ValueError(f"verify --suite oracle: no order k >= 1 has 2*p*k <= {cap} "
+                             f"for p in {list(ps)}")
         for p, k_max in pairs:
             reports.append(_oracle_sweep(p, k_max, max(cap, budget)))
     else:
-        k_max = args.k_max or 6
-        reports.append(_freeprob_sweep(k_max))
+        reports.append(_freeprob_sweep(6 if args.k_max is None else args.k_max))
     ok = all(r.ok for r in reports)
     print(json.dumps({
         "suite": args.suite,
@@ -219,21 +234,24 @@ def cmd_verify(args) -> int:
 
 
 def _oracle_sweep(p: int, k_max: int, budget: int):
+    """Closed form, counted matchings and one series solve to k_max, order by order."""
     from .report import Report
 
     report = Report(name=f"three-route agreement p={p} k<={k_max}")
-    for k in range(0, k_max + 1):
+    # counted first, so an order over the budget fails before any other work
+    enumerated = [partitions.enumerated_moment_poly(p, k, budget=budget)
+                  for k in range(k_max + 1)]
+    g = solve_functional_equation(p, k_max)
+    for k, counted in enumerate(enumerated):
         closed = exact.limit_moment_poly(p, k)
-        counted = partitions.enumerated_moment_poly(p, k, budget=budget)
         report.tally(closed == counted,
                      f"k={k}: closed form and enumeration disagree")
         if k >= 1:
-            via_series = solve_functional_equation(p, k)[k].divide_by_variable(0)
-            report.tally(closed == via_series,
+            report.tally(closed == g[k].divide_by_variable(0),
                          f"k={k}: closed form and series solver disagree")
             refined, total = exact.vandermonde_decomposition(p, k)
-            # recounted by the interval recurrence, which lists no matching
-            count = sum(partitions.profile_histogram(p, k, 0, budget).values())
+            # one monomial per matching, so the coefficients sum to the count
+            count = sum(counted.terms.values())
             report.tally(refined == total == count,
                          f"k={k}: counts disagree: {refined}, {total}, {count}")
     return report

@@ -47,7 +47,6 @@ to the shift-0 word and moves one unit of profile from slot 0 to slot i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .poly import MultiPoly
@@ -107,10 +106,7 @@ class WordSpec:
 
 def base_word(p: int, shift: int = 0) -> tuple[Letter, ...]:
     """The length-2p word at the given cyclic shift."""
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
-    if not 0 <= shift <= p:
-        raise ValueError(f"shift must lie in [0, p], got {shift}")
+    WordSpec(p, shift, 0)  # validate arguments
     plain = [Letter(i, False) for i in range(1, p + 1)]
     starred = [Letter(i, True) for i in range(p, 0, -1)]
     word = plain + starred
@@ -326,12 +322,10 @@ def enumerated_moment_poly(p: int, k: int, budget: int = DEFAULT_BUDGET) -> Mult
     One monomial d0^j0 ... dp^jp per adapted noncrossing matching of the
     k-fold shift-0 word, with j the leg profile, summed by
     :func:`profile_histogram`'s interval recurrence.  Independent of the
-    closed-form route: no binomial is ever computed here.
+    closed-form route: no binomial is ever computed here.  At k = 0 the
+    empty matching gives the constant 1.
     """
-    if k == 0:
-        return MultiPoly.constant(p + 1, 1)
-    hist = profile_histogram(p, k, 0, budget)
-    return MultiPoly(p + 1, {prof: Fraction(count) for prof, count in hist.items()})
+    return MultiPoly(p + 1, profile_histogram(p, k, 0, budget))
 
 
 def profile_count(
@@ -341,9 +335,6 @@ def profile_count(
     prof = tuple(int(x) for x in profile)
     if len(prof) != p + 1:
         raise ValueError(f"profile must have p+1 = {p + 1} entries, got {len(prof)}")
-    if k == 0:
-        WordSpec(p, shift, 0)
-        return 1 if prof == (0,) * (p + 1) else 0
     return profile_histogram(p, k, shift, budget).get(prof, 0)
 
 
@@ -398,21 +389,28 @@ def rotate_cover_inverse(pi: PairPartition) -> PairPartition:
 # -- verification sweeps -----------------------------------------------------
 
 
-def _enumerated_histogram(p: int, k: int, shift: int, budget: int) -> dict[tuple[int, ...], int]:
-    """``profile_histogram`` by listing every matching, sorted by profile.
+def _enumerated_histograms(
+    p: int, k_max: int, budget: int
+) -> dict[tuple[int, int], dict[tuple[int, ...], int]]:
+    """``profile_histogram`` of every shift and order k <= k_max, by listing.
 
-    The sweeps below check the first-block recurrence that
-    ``profile_histogram`` counts by, so they read this one instead.
+    Keyed by (shift, k); each histogram is sorted by profile.  The sweeps
+    below check the first-block recurrence that ``profile_histogram``
+    counts by, so they read these instead.  ``enumerate_adapted`` raises
+    ``BudgetError`` at the first order over the budget.
     """
-    if k == 0:
-        return {(0,) * (p + 1): 1}
-    spec = WordSpec(p, shift, k)
-    word = build_word(spec)
-    hist: dict[tuple[int, ...], int] = {}
-    for pi in enumerate_adapted(spec, budget):
-        prof = leg_profile(pi, word)
-        hist[prof] = hist.get(prof, 0) + 1
-    return dict(sorted(hist.items()))
+    hists = {}
+    for shift in range(p + 1):
+        hists[shift, 0] = {(0,) * (p + 1): 1}
+        for k in range(1, k_max + 1):
+            spec = WordSpec(p, shift, k)
+            word = build_word(spec)
+            hist: dict[tuple[int, ...], int] = {}
+            for pi in enumerate_adapted(spec, budget):
+                prof = leg_profile(pi, word)
+                hist[prof] = hist.get(prof, 0) + 1
+            hists[shift, k] = dict(sorted(hist.items()))
+    return hists
 
 
 def verify_shift_identity(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> Report:
@@ -425,15 +423,16 @@ def verify_shift_identity(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> R
     so neither histogram can hide extra mass.
     """
     report = Report(name=f"shift-identity p={p} k<={k_max}")
+    hists = _enumerated_histograms(p, k_max, budget)
     for k in range(1, k_max + 1):
-        hist0 = _enumerated_histogram(p, k, 0, budget)
+        hist0 = hists[0, k]
         for r in hist0:
             report.tally(
                 all(r[i] >= 1 for i in range(1, p + 1)),
                 lambda: f"k={k}: base-word profile {r} has an empty slot above 0",
             )
         for i in range(1, p + 1):
-            hist_i = _enumerated_histogram(p, k, i, budget)
+            hist_i = hists[i, k]
             for q, count in sorted(hist_i.items()):
                 report.tally(
                     q[0] >= 1,
@@ -465,7 +464,7 @@ def verify_shift_identity(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> R
 
 
 def _poly_from_histogram(p: int, shift: int, k: int, hists: dict) -> MultiPoly:
-    return MultiPoly(p + 1, {prof: Fraction(c) for prof, c in hists[(shift, k)].items()})
+    return MultiPoly(p + 1, hists[shift, k])
 
 
 def _histogram_product(
@@ -493,14 +492,8 @@ def verify_product_decomposition(p: int, k_max: int, budget: int = DEFAULT_BUDGE
     to k - 1 with profile slots summing to (j_0, j_1 - 1, ..., j_p - 1).
     """
     report = Report(name=f"product-decomposition p={p} k<={k_max}")
-    for k in range(1, k_max + 1):
-        _check_budget(p, k, budget)
     num_vars = p + 1
-    hists = {
-        (shift, k): _enumerated_histogram(p, k, shift, budget)
-        for shift in range(p + 1)
-        for k in range(k_max + 1)
-    }
+    hists = _enumerated_histograms(p, k_max, budget)
 
     series = [
         [_poly_from_histogram(p, shift, k, hists) for k in range(k_max + 1)]

@@ -77,19 +77,6 @@ class MultiPoly:
         """False exactly for the zero polynomial, as for numbers."""
         return bool(self.terms)
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial (raises if any variable occurs)."""
-        zero = (0,) * self.num_vars
-        if any(key != zero for key in self.terms):
-            raise ValueError("polynomial is not constant")
-        return self.terms.get(zero, Fraction(0))
-
-    def total_degree(self) -> int:
-        """Maximum over terms of the exponent sum; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def canonical_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in descending lexicographic order of exponent vector."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
@@ -241,15 +228,6 @@ class MultiPoly:
             if exps[index] < 1:
                 raise ValueError(f"term {exps} has no factor of variable {index}")
             acc[exps[:index] + (exps[index] - 1,) + exps[index + 1 :]] = coeff
-        return MultiPoly(self.num_vars, acc)
-
-    def permuted(self, perm: Sequence[int]) -> "MultiPoly":
-        """Relabel variables: slot i of the result reads slot perm[i] of self."""
-        if sorted(perm) != list(range(self.num_vars)):
-            raise ValueError(f"{perm!r} is not a permutation of range({self.num_vars})")
-        acc = {}
-        for exps, coeff in self.terms.items():
-            acc[tuple(exps[j] for j in perm)] = coeff
         return MultiPoly(self.num_vars, acc)
 
     # -- rendering -----------------------------------------------------------

@@ -106,6 +106,8 @@ class DimensionProfile:
         d = tuple(float(x) for x in d)
         if len(d) < 2:
             raise ValueError("need at least two ratios d0, d1")
+        if not all(math.isfinite(x) for x in d):
+            raise ValueError(f"ratios must be finite, got {d}")
         if any(x <= 0 for x in d):
             raise ValueError(f"ratios must be positive, got {d}")
         if n < 1:

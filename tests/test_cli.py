@@ -108,6 +108,17 @@ def test_enumerate_budget_exceeded(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_enumerate_count_lists_no_matching(capsys, monkeypatch):
+    # Catalan(30) matchings, counted by the interval recurrence alone
+    def unavailable(*args, **kwargs):
+        raise AssertionError("enumerate --count listed matchings")
+
+    monkeypatch.setattr(partitions, "enumerate_adapted", unavailable)
+    monkeypatch.setenv("FN_BUDGET", "60")
+    code, out, _ = run_cli(capsys, "enumerate", "-p", "1", "-k", "30", "--count")
+    assert code == 0 and out == "3814986502092304\n"
+
+
 def test_env_budget_override(capsys, monkeypatch):
     monkeypatch.setenv("FN_BUDGET", "18")
     code, out, _ = run_cli(capsys, "enumerate", "-p", "3", "-k", "3", "--count")
@@ -171,6 +182,71 @@ def test_verify_oracle_catches_a_planted_count(capsys, monkeypatch, p, k):
     mismatches = [m for r in doc["reports"] for m in r["mismatches"]]
     assert f"k={k}: closed form and enumeration disagree" in mismatches
     assert all(m.startswith(f"k={k}: ") for m in mismatches)
+
+
+def test_verify_oracle_solves_each_series_once(capsys, monkeypatch):
+    calls = []
+    honest = cli.solve_functional_equation
+
+    def counted(p, order, *args, **kwargs):
+        calls.append((p, order))
+        return honest(p, order, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_functional_equation", counted)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--pk-budget", "60")
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert calls == [(1, 30), (2, 15), (3, 10)]
+
+
+def report_names(out):
+    return [r["name"] for r in json.loads(out)["reports"]]
+
+
+def test_verify_oracle_single_p_sweeps_to_the_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "-p", "2")
+    assert code == 0
+    assert report_names(out) == ["three-route agreement p=2 k<=4"]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "-p", "2", "--pk-budget", "12")
+    assert code == 0
+    assert report_names(out) == ["three-route agreement p=2 k<=3"]
+
+
+def test_verify_oracle_k_max_alone_applies_to_every_p(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--k-max", "2")
+    assert code == 0
+    assert report_names(out) == [f"three-route agreement p={p} k<=2" for p in (1, 2, 3)]
+
+
+def test_verify_lemmas_k_max_alone_applies_to_every_p(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "lemmas", "--k-max", "1")
+    assert code == 0
+    assert report_names(out) == [
+        f"{sweep} p={p} k<=1" for p in (1, 2, 3)
+        for sweep in ("shift-identity", "product-decomposition")
+    ]
+
+
+@pytest.mark.parametrize("suite,flag", [("lemmas", "-p"), ("oracle", "-p"),
+                                        ("freeprob", "--k-max"), ("lemmas", "--k-max")])
+def test_verify_rejects_nonpositive_selections(capsys, suite, flag):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, "0")
+    assert code == 2 and out == ""
+    assert f"needs {flag} >= 1, got 0" in err
+
+
+@pytest.mark.parametrize("suite,flag", [("freeprob", "-p"), ("freeprob", "--pk-budget"),
+                                        ("lemmas", "--pk-budget")])
+def test_verify_rejects_flags_the_suite_does_not_read(capsys, suite, flag):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, "2")
+    assert code == 2 and out == ""
+    assert f"verify --suite {suite} does not read {flag}" in err
+
+
+@pytest.mark.parametrize("argv", [("--pk-budget", "1"), ("-p", "2", "--pk-budget", "3")])
+def test_verify_oracle_rejects_a_sweep_with_no_order(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", "--suite", "oracle", *argv)
+    assert code == 2 and out == ""
+    assert "no order k >= 1 has 2*p*k <=" in err
 
 
 def test_verify_freeprob(capsys):
@@ -290,6 +366,13 @@ def test_mc_real_ensemble_runs(capsys):
 def test_mc_invalid_dims(capsys):
     code, _, err = run_cli(capsys, "mc", "-d", "1", "-n", "20", "-K", "2", "--trials", "4")
     assert code == 2 and "two ratios" in err
+
+
+@pytest.mark.parametrize("ratio", ["nan", "inf"])
+def test_mc_rejects_non_finite_ratios(capsys, ratio):
+    code, out, err = run_cli(capsys, "mc", "-d", f"1,{ratio}", "-n", "20", "-K", "2")
+    assert code == 2 and out == ""
+    assert f"ratios must be finite, got (1.0, {ratio})" in err
 
 
 def test_mc_rejects_a_trial_over_the_memory_cap(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fussnarayana import partitions
 from fussnarayana.exact import fuss_catalan, fuss_narayana_number, limit_moment_poly
+from fussnarayana.poly import MultiPoly
 from fussnarayana.partitions import (
     BudgetError,
     PairPartition,
@@ -41,6 +42,15 @@ def test_base_words_for_two_letters():
 
 def test_base_word_shift_three_letters():
     assert word_text(base_word(3, 2)) == "2* 1* 1 2 3 3*"
+
+
+def test_base_word_validates_like_word_spec():
+    for p, shift in [(0, 0), (2, 3), (2, -1)]:
+        with pytest.raises(ValueError) as from_spec:
+            WordSpec(p, shift, 0)
+        with pytest.raises(ValueError) as from_word:
+            base_word(p, shift)
+        assert str(from_word.value) == str(from_spec.value)
 
 
 def test_build_word_repeats():
@@ -129,6 +139,16 @@ def test_empty_word_conventions():
     assert sum(1 for _ in enumerate_adapted(WordSpec(2, 0, 0))) == 1
     assert profile_count(2, 0, (0, 0, 0)) == 1
     assert profile_count(2, 0, (1, 0, 0)) == 0
+    assert profile_count(2, 0, (0, 0, 0), shift=2, budget=0) == 1
+    assert enumerated_moment_poly(2, 0, budget=0) == MultiPoly.constant(3, 1)
+
+
+def test_order_zero_arguments_are_validated():
+    # k = 0 takes the same path as every other order, argument checks included
+    with pytest.raises(ValueError, match="need p >= 1"):
+        enumerated_moment_poly(0, 0)
+    with pytest.raises(ValueError, match="shift must lie in"):
+        profile_count(2, 0, (0, 0, 0), shift=3)
 
 
 # -- leg profiles ---------------------------------------------------------------
@@ -311,6 +331,13 @@ def test_verify_respects_budget():
         verify_shift_identity(3, 3)
     with pytest.raises(BudgetError):
         verify_product_decomposition(3, 3)
+
+
+@pytest.mark.parametrize("sweep", [verify_shift_identity, verify_product_decomposition])
+def test_sweeps_stop_at_the_first_order_over_the_budget(sweep):
+    # 2pk = 20 at k = 5 is the first word past 16, and enumeration names it
+    with pytest.raises(BudgetError, match=r"2\*p\*k = 20 exceeds the enumeration budget 16"):
+        sweep(2, 7, budget=16)
 
 
 # -- randomized structural checks ----------------------------------------------
