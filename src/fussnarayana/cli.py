@@ -223,7 +223,10 @@ def cmd_verify(args) -> int:
         for p, k_max in pairs:
             reports.append(_oracle_sweep(p, k_max, max(cap, budget)))
     else:
-        reports.append(_freeprob_sweep(6 if args.k_max is None else args.k_max))
+        k_max = 6 if args.k_max is None else args.k_max
+        if k_max < 2:
+            raise ValueError(f"verify --suite freeprob needs --k-max >= 2, got {k_max}")
+        reports.append(_freeprob_sweep(k_max))
     ok = all(r.ok for r in reports)
     print(json.dumps({
         "suite": args.suite,

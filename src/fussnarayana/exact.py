@@ -140,7 +140,7 @@ def limit_moment_poly(p: int, k: int) -> MultiPoly:
             for j in rest:
                 product *= row[j]
             terms[(j0,) + rest] = _exact_div(product, k)
-    return MultiPoly(p + 1, terms)
+    return MultiPoly._from_terms(p + 1, terms)
 
 
 def fuss_narayana_poly(p: int, k: int) -> MultiPoly:

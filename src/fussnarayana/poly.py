@@ -1,10 +1,17 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A polynomial in ``n`` variables is stored as a mapping from exponent
-vectors (length-``n`` tuples of nonnegative ints) to nonzero
-:class:`~fractions.Fraction` coefficients.  The zero polynomial keeps no
-terms.  Arithmetic never leaves the rationals; floats only appear if the
-caller evaluates at float arguments.
+vectors (length-``n`` tuples of nonnegative ints) to nonzero rational
+coefficients.  The constructor stores a coefficient as a Python ``int``
+when it is integral and as a :class:`~fractions.Fraction` only where a
+denominator exists, so integral polynomials (every moment polynomial,
+every matching count) run on int arithmetic.  Operations keep the types
+they are given: ints combine to ints, and a result touched by a Fraction
+stays a Fraction even when integral.  Equal ``int`` and ``Fraction``
+coefficients compare and hash alike, so the type never changes equality
+or output.  The zero polynomial keeps no terms.  Arithmetic never leaves
+the rationals; floats only appear if the caller evaluates at float
+arguments.
 
 Serialization uses a canonical term order, descending lexicographic on
 the exponent vector, so equal polynomials always render identically.
@@ -13,6 +20,7 @@ the exponent vector, so equal polynomials always render identically.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -22,10 +30,22 @@ Scalar = Union[int, Fraction]
 
 def format_exact(value: Scalar) -> str:
     """Render a rational as ``'n'`` when integral, ``'num/den'`` otherwise."""
+    if type(value) is int:
+        return str(value)
     q = Fraction(value)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def _as_rational(value, exps) -> Scalar:
+    """An int when ``value`` is integral, else a Fraction; other types are rejected."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Rational):
+        q = Fraction(value)
+        return q.numerator if q.denominator == 1 else q
+    raise ValueError(f"non-rational coefficient {value!r} at {exps}")
 
 
 class MultiPoly:
@@ -33,7 +53,11 @@ class MultiPoly:
 
     Instances should be treated as frozen: all operations return new
     polynomials.  Two polynomials compare equal iff they have the same
-    number of variables and identical term maps.
+    number of variables and equal term maps.  The constructor checks
+    and normalizes its input (exponents to int tuples, coefficients to
+    int or Fraction; only ``numbers.Rational`` coefficients are
+    accepted).  Results of the ring operations are built from terms
+    this module already made clean, so they skip those checks.
     """
 
     __slots__ = ("num_vars", "terms")
@@ -41,7 +65,7 @@ class MultiPoly:
     def __init__(self, num_vars: int, terms: Mapping[Sequence[int], Scalar] | None = None):
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         for exps, coeff in (terms or {}).items():
             try:
                 key = tuple(map(operator.index, exps))
@@ -51,17 +75,26 @@ class MultiPoly:
                 raise ValueError(f"exponent vector {key} does not have {num_vars} entries")
             if key and min(key) < 0:
                 raise ValueError(f"negative exponent in {key}")
-            q = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            if q:
-                clean[key] = q
+            if type(coeff) is not int:
+                coeff = _as_rational(coeff, key)
+            if coeff:
+                clean[key] = coeff
         self.num_vars = num_vars
         self.terms = clean
+
+    @classmethod
+    def _from_terms(cls, num_vars: int, terms: dict) -> "MultiPoly":
+        """Wrap terms with clean keys and int/Fraction values, dropping zeros."""
+        poly = object.__new__(cls)
+        poly.num_vars = num_vars
+        poly.terms = {e: c for e, c in terms.items() if c}
+        return poly
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, num_vars: int, value: Scalar) -> "MultiPoly":
-        return cls(num_vars, {(0,) * num_vars: Fraction(value)})
+        return cls(num_vars, {(0,) * num_vars: value})
 
     @classmethod
     def variable(cls, num_vars: int, index: int) -> "MultiPoly":
@@ -69,7 +102,7 @@ class MultiPoly:
         if not 0 <= index < num_vars:
             raise ValueError(f"variable index {index} out of range for {num_vars} variables")
         exps = tuple(1 if i == index else 0 for i in range(num_vars))
-        return cls(num_vars, {exps: Fraction(1)})
+        return cls._from_terms(num_vars, {exps: 1})
 
     # -- predicates and views ----------------------------------------------
 
@@ -77,7 +110,7 @@ class MultiPoly:
         """False exactly for the zero polynomial, as for numbers."""
         return bool(self.terms)
 
-    def canonical_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def canonical_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """Terms in descending lexicographic order of exponent vector."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
@@ -100,13 +133,13 @@ class MultiPoly:
             return NotImplemented
         acc = dict(self.terms)
         for exps, coeff in rhs.terms.items():
-            acc[exps] = acc.get(exps, Fraction(0)) + coeff
-        return MultiPoly(self.num_vars, acc)
+            acc[exps] = acc.get(exps, 0) + coeff
+        return MultiPoly._from_terms(self.num_vars, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._from_terms(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         rhs = self._coerce(other)
@@ -122,17 +155,17 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return MultiPoly(self.num_vars, {e: c * q for e, c in self.terms.items()})
+            scaled = {e: c * other for e, c in self.terms.items()}
+            return MultiPoly._from_terms(self.num_vars, scaled)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in rhs.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return MultiPoly(self.num_vars, acc)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return MultiPoly._from_terms(self.num_vars, acc)
 
     __rmul__ = __mul__
 
@@ -168,7 +201,9 @@ class MultiPoly:
         ``num_i**j * den_i**(D_i - j)`` and the coefficients scaled by the
         lcm of their denominators, and one Fraction is built at the end.
         Any other coordinate (a float, say) takes the term-by-term loop,
-        whose operation order is unchanged.
+        whose operation order is unchanged.  Its sum starts from
+        ``Fraction(0)``, so int coefficients give the value and the type
+        that the same coefficients as Fractions give.
         """
         if len(values) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} values, got {len(values)}")
@@ -176,7 +211,7 @@ class MultiPoly:
             return Fraction(0)
         if all(isinstance(v, (int, Fraction)) for v in values):
             return self._evaluate_exact(values)
-        total = 0
+        total = Fraction(0)
         for exps, coeff in self.terms.items():
             term = coeff
             for v, e in zip(values, exps):
@@ -209,15 +244,15 @@ class MultiPoly:
         """
         if not 0 <= index < self.num_vars:
             raise ValueError(f"variable index {index} out of range")
-        q = Fraction(value)
+        q = value if type(value) is int else Fraction(value)
         powers = None if q == 1 else {e: q**e for e in {exps[index] for exps in self.terms}}
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], Scalar] = {}
         for exps, coeff in self.terms.items():
             key = exps[:index] + exps[index + 1 :]
             term = coeff if powers is None else coeff * powers[exps[index]]
             prev = acc.get(key)
             acc[key] = term if prev is None else prev + term
-        return MultiPoly(self.num_vars - 1, acc)
+        return MultiPoly._from_terms(self.num_vars - 1, acc)
 
     def divide_by_variable(self, index: int) -> "MultiPoly":
         """Exact division by x_index; every term must contain that variable."""
@@ -228,7 +263,7 @@ class MultiPoly:
             if exps[index] < 1:
                 raise ValueError(f"term {exps} has no factor of variable {index}")
             acc[exps[:index] + (exps[index] - 1,) + exps[index + 1 :]] = coeff
-        return MultiPoly(self.num_vars, acc)
+        return MultiPoly._from_terms(self.num_vars, acc)
 
     # -- rendering -----------------------------------------------------------
 

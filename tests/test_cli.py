@@ -234,6 +234,12 @@ def test_verify_rejects_nonpositive_selections(capsys, suite, flag):
     assert f"needs {flag} >= 1, got 0" in err
 
 
+def test_verify_freeprob_rejects_k_max_below_two(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "freeprob", "--k-max", "1")
+    assert code == 2 and out == ""
+    assert "verify --suite freeprob needs --k-max >= 2, got 1" in err
+
+
 @pytest.mark.parametrize("suite,flag", [("freeprob", "-p"), ("freeprob", "--pk-budget"),
                                         ("lemmas", "--pk-budget")])
 def test_verify_rejects_flags_the_suite_does_not_read(capsys, suite, flag):

@@ -148,6 +148,13 @@ def test_limit_moment_poly_is_homogeneous(p, k):
     assert all(coeff > 0 and coeff.denominator == 1 for coeff in poly.terms.values())
 
 
+@pytest.mark.parametrize("p,k", [(1, 20), (2, 10), (3, 8), (2, 30), (3, 30), (4, 14)])
+def test_moment_polynomials_keep_int_coefficients(p, k):
+    # the benchmark's symbolic and moments orders
+    for poly in (limit_moment_poly(p, k), fuss_narayana_poly(p, k)):
+        assert all(type(c) is int for c in poly.terms.values())
+
+
 @given(st.integers(1, 3), st.integers(1, 4), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_first_ratio_times_poly_is_fully_symmetric(p, k, rng):

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact polynomial ring."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,10 @@ coeffs = st.fractions(
 polys = st.dictionaries(exponents, coeffs, max_size=6).map(
     lambda terms: MultiPoly(NUM_VARS, terms)
 )
+int_polys = st.dictionaries(exponents, st.integers(-50, 50), max_size=6).map(
+    lambda terms: MultiPoly(NUM_VARS, terms)
+)
+int_or_fraction = st.one_of(st.integers(-6, 6), st.fractions(-3, 3, max_denominator=5))
 points = st.tuples(*(st.fractions(min_value=-3, max_value=3, max_denominator=6)
                      for _ in range(NUM_VARS)))
 exact_coordinates = st.one_of(
@@ -43,10 +48,14 @@ def fraction_reference(poly, values):
 
 
 def term_loop(poly, values):
-    """The term-by-term loop in the order evaluate used before clearing denominators."""
+    """The term-by-term loop in the order evaluate used before clearing denominators.
+
+    It runs on Fraction coefficients, as the loop did when every stored
+    coefficient was a Fraction.
+    """
     total = 0
     for exps, coeff in poly.terms.items():
-        term = coeff
+        term = Fraction(coeff)
         for v, e in zip(values, exps):
             if e:
                 term = term * v**e
@@ -90,6 +99,20 @@ def test_arity_mismatch_rejected():
 def test_non_integral_exponents_rejected(bad):
     with pytest.raises(ValueError, match="non-integral"):
         MultiPoly(1, {(bad,): 1})
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, float("inf"), float("nan"), "3", "1/3", None,
+                                 Decimal("0.5"), 1 + 0j, np.float64(2.0)])
+def test_non_rational_coefficients_rejected(bad):
+    with pytest.raises(ValueError, match=r"non-rational coefficient .* at \(1,\)"):
+        MultiPoly(1, {(1,): bad})
+
+
+def test_rational_coefficients_stored_as_int_when_integral():
+    p = MultiPoly(1, {(0,): True, (1,): np.int64(-3), (2,): Fraction(8, 2), (3,): Fraction(1, 3)})
+    assert [type(c) for _, c in p.canonical_terms()] == [Fraction, int, int, int]
+    assert p.terms == {(0,): 1, (1,): -3, (2,): 4, (3,): Fraction(1, 3)}
+    assert not MultiPoly(1, {(1,): np.int32(0), (2,): False})
 
 
 def test_integer_like_exponents_accepted():
@@ -194,3 +217,59 @@ def test_to_string():
     p = MultiPoly(2, {(2, 1): 1, (0, 0): -2})
     assert p.to_string(["u", "v"]) == "u^2*v + -2"
     assert MultiPoly(2).to_string() == "0"
+
+
+def assert_clean(result, all_int):
+    """A result equals its validated rebuild, keeps no zero, and is int-valued on int input."""
+    assert result == MultiPoly(result.num_vars, result.terms)
+    assert all(result.terms.values())
+    if all_int:
+        assert all(type(c) is int for c in result.terms.values())
+
+
+def int_valued(*operands):
+    return all(
+        all(type(c) is int for c in x.terms.values()) if isinstance(x, MultiPoly)
+        else type(x) is int
+        for x in operands
+    )
+
+
+@given(st.one_of(int_polys, polys), st.one_of(int_polys, polys), int_or_fraction,
+       st.integers(0, 3), st.integers(0, NUM_VARS - 1))
+@settings(max_examples=150)
+def test_operation_results_are_clean(a, b, scalar, power, index):
+    x = MultiPoly.variable(NUM_VARS, index)
+    assert_clean(a + b, int_valued(a, b))
+    assert_clean(a - b, int_valued(a, b))
+    assert_clean(-a, int_valued(a))
+    assert_clean(a * b, int_valued(a, b))
+    assert_clean(scalar * a, int_valued(a, scalar))
+    assert_clean(a * scalar, int_valued(a, scalar))
+    assert_clean(a ** power, int_valued(a))
+    assert_clean(a.substitute(index, scalar), int_valued(a, scalar))
+    assert_clean((a * x).divide_by_variable(index), int_valued(a))
+    assert (a * x).divide_by_variable(index) == a
+
+
+def test_int_and_fraction_coefficients_compare_and_hash_alike():
+    d0, d1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    as_int = 3 * d0 * d0 - d1 + 2
+    as_fraction = Fraction(1) * as_int
+    assert all(type(c) is int for c in as_int.terms.values())
+    assert all(type(c) is Fraction for c in as_fraction.terms.values())
+    assert as_int == as_fraction
+    assert hash(as_int) == hash(as_fraction)
+    assert len({as_int, as_fraction}) == 1
+    assert as_int.to_json_dict(["a", "b"]) == as_fraction.to_json_dict(["a", "b"])
+    assert as_int.to_string() == as_fraction.to_string()
+
+
+@given(int_polys, st.tuples(*(st.floats(-3, 3, allow_nan=False) for _ in range(NUM_VARS))))
+@settings(max_examples=100)
+def test_float_evaluate_of_int_coefficients_matches_fraction_coefficients(a, pt):
+    value = a.evaluate(pt)
+    expected = term_loop(a, pt)
+    assert type(value) is type(expected)
+    assert repr(value) == repr(expected)
+    assert repr((Fraction(1) * a).evaluate(pt)) == repr(value)

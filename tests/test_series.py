@@ -79,6 +79,13 @@ def test_solver_coefficients_are_moment_polynomials():
             assert g[k] == d0 * limit_moment_poly(p, k)
 
 
+def test_symbolic_solver_keeps_int_coefficients():
+    # the benchmark's orders
+    for p, order in [(1, 20), (2, 10), (3, 8)]:
+        for g_k in solve_functional_equation(p, order):
+            assert all(type(c) is int for c in g_k.terms.values())
+
+
 rationals = st.fractions(min_value=Fraction(1, 7), max_value=Fraction(4), max_denominator=9)
 
 
