@@ -46,6 +46,7 @@ from .partitions import (
     enumerate_adapted,
     enumerated_moment_poly,
     leg_profile,
+    listed_histograms,
     noncrossing_matchings,
     profile_count,
     profile_histogram,
@@ -97,6 +98,7 @@ __all__ = [
     "lagrange_coefficient",
     "leg_profile",
     "limit_moment_poly",
+    "listed_histograms",
     "moments_by_closed_form",
     "moments_by_series",
     "mp_density",

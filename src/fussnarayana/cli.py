@@ -23,6 +23,7 @@ from fractions import Fraction
 from . import exact, freeprob, partitions, rmt
 from .diagrams import write_partition_svg
 from .poly import MultiPoly
+from .report import Report
 from .series import solve_functional_equation
 
 
@@ -210,8 +211,9 @@ def cmd_verify(args) -> int:
         else:
             pairs = [(1, 4), (2, 2), (3, 2)]
         for p, k_max in pairs:
-            reports.append(partitions.verify_shift_identity(p, k_max, budget=budget))
-            reports.append(partitions.verify_product_decomposition(p, k_max, budget=budget))
+            hists = partitions.listed_histograms(p, k_max, budget=budget)
+            reports.append(partitions.verify_shift_identity(hists))
+            reports.append(partitions.verify_product_decomposition(hists))
     elif args.suite == "oracle":
         cap = args.pk_budget if args.pk_budget is not None else max(budget, 16)
         ps = (1, 2, 3) if args.p is None else (args.p,)
@@ -238,8 +240,6 @@ def cmd_verify(args) -> int:
 
 def _oracle_sweep(p: int, k_max: int, budget: int):
     """Closed form, counted matchings and one series solve to k_max, order by order."""
-    from .report import Report
-
     report = Report(name=f"three-route agreement p={p} k<={k_max}")
     # counted first, so an order over the budget fails before any other work
     enumerated = [partitions.enumerated_moment_poly(p, k, budget=budget)
@@ -261,8 +261,6 @@ def _oracle_sweep(p: int, k_max: int, budget: int):
 
 
 def _freeprob_sweep(k_max: int):
-    from .report import Report
-
     report = Report(name=f"free convolution k<={k_max}")
     fixtures = [
         (Fraction(1),), (Fraction(2),), (Fraction(1, 2),),
@@ -349,14 +347,11 @@ def main(argv=None) -> int:
         return 0 if code in (0, None) else int(code)
     try:
         return args.func(args)
-    except partitions.BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except freeprob.QuadratureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (partitions.BudgetError, freeprob.QuadratureError, ValueError, ArithmeticError) as exc:
+        hint = ""
+        if isinstance(exc, partitions.BudgetError):
+            hint = "; the environment variable FN_BUDGET sets it"
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
 
 

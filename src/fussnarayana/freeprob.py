@@ -42,6 +42,14 @@ def _as_shapes(shapes: Sequence) -> tuple[Fraction, ...]:
     return out
 
 
+def _mp_edges(t) -> tuple[float, float]:
+    """Support edges (1 -+ sqrt(t))^2 of the shape-t law's continuous part, as floats."""
+    if t <= 0:
+        raise ValueError(f"shape parameter must be positive, got {t}")
+    root = math.sqrt(t)
+    return (1 - root) ** 2, (1 + root) ** 2
+
+
 @dataclass(frozen=True)
 class MpLaw:
     """One Marchenko-Pastur law, with exact shape parameter."""
@@ -65,8 +73,7 @@ class MpLaw:
     @property
     def support(self) -> tuple[float, float]:
         """Endpoints of the continuous part, (1 -+ sqrt(t))^2 as floats."""
-        root = math.sqrt(self.t)
-        return (1 - root) ** 2, (1 + root) ** 2
+        return _mp_edges(self.t)
 
     def density(self, x: float) -> float:
         return mp_density(float(self.t), x)
@@ -82,10 +89,7 @@ def mp_density(t: float, x: float) -> float:
     The atom at the origin for t < 1 is not part of the density; see
     :attr:`MpLaw.atom_mass`.
     """
-    if t <= 0:
-        raise ValueError(f"shape parameter must be positive, got {t}")
-    root = math.sqrt(t)
-    a, b = (1 - root) ** 2, (1 + root) ** 2
+    a, b = _mp_edges(t)
     if x <= a or x >= b:
         return 0.0
     return math.sqrt((b - x) * (x - a)) / (2 * math.pi * x)
@@ -182,12 +186,9 @@ def quadrature_moments(t, order: int, rel_tol: float = 1e-8) -> list[float]:
     :class:`QuadratureError` when the bound cannot certify ``rel_tol``.
     """
     t = float(t)
-    if t <= 0:
-        raise ValueError(f"shape parameter must be positive, got {t}")
+    a, b = _mp_edges(t)
     if not 1 <= order <= 8:
         raise ValueError(f"order must lie in [1, 8], got {order}")
-    root = math.sqrt(t)
-    a, b = (1 - root) ** 2, (1 + root) ** 2
     center, half = (a + b) / 2, (b - a) / 2
     prefactor = (b - a) ** 2 / (8 * math.pi)
 

@@ -31,10 +31,12 @@ Counting and listing.  ``profile_histogram`` (and with it
 ``enumerated_moment_poly`` and ``profile_count``) counts matchings by
 profile with the first-block recurrence on intervals of the periodic
 word, without building a matching.  ``enumerate_adapted`` and
-``leg_profile`` list and profile them one by one; the verification
-sweeps read that brute histogram, because the identities they check
-are the recurrence the counter relies on.  Both ways refuse words
-longer than the budget (``BudgetError``).
+``leg_profile`` list and profile them one by one, and
+``listed_histograms`` collects those brute histograms for every shift
+and order into one table of profile polynomials.  Both verification
+sweeps take that table, because the identities they check are the
+recurrence the counter relies on, so each word is listed once for
+both.  Both ways refuse words longer than the budget (``BudgetError``).
 
 Cover rotation.  ``rotate_cover`` is the bijection on noncrossing pair
 matchings that removes the block opened at the first position, slides
@@ -46,9 +48,11 @@ to the shift-0 word and moves one unit of profile from slot 0 to slot i.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
+from .exact import _compositions
 from .poly import MultiPoly
 from .report import Report
 from .series import truncated_mul
@@ -389,50 +393,61 @@ def rotate_cover_inverse(pi: PairPartition) -> PairPartition:
 # -- verification sweeps -----------------------------------------------------
 
 
-def _enumerated_histograms(
-    p: int, k_max: int, budget: int
-) -> dict[tuple[int, int], dict[tuple[int, ...], int]]:
-    """``profile_histogram`` of every shift and order k <= k_max, by listing.
+def listed_histograms(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> list[list[MultiPoly]]:
+    """Profile polynomials of every shift and order k <= k_max, by listing.
 
-    Keyed by (shift, k); each histogram is sorted by profile.  The sweeps
-    below check the first-block recurrence that ``profile_histogram``
-    counts by, so they read these instead.  ``enumerate_adapted`` raises
-    ``BudgetError`` at the first order over the budget.
+    ``hists[shift][k]`` has one monomial d0^j0 ... dp^jp per adapted
+    matching of the order-k word at that shift, j its leg profile; the
+    table is built from ``enumerate_adapted`` and ``leg_profile`` alone.
+    The lemma sweeps check the first-block recurrence that
+    ``profile_histogram`` counts by, so they read this table instead.
+    ``enumerate_adapted`` raises ``BudgetError`` at the first order over
+    the budget.
     """
-    hists = {}
+    hists = []
     for shift in range(p + 1):
-        hists[shift, 0] = {(0,) * (p + 1): 1}
+        row = [MultiPoly.constant(p + 1, 1)]
         for k in range(1, k_max + 1):
             spec = WordSpec(p, shift, k)
             word = build_word(spec)
-            hist: dict[tuple[int, ...], int] = {}
-            for pi in enumerate_adapted(spec, budget):
-                prof = leg_profile(pi, word)
-                hist[prof] = hist.get(prof, 0) + 1
-            hists[shift, k] = dict(sorted(hist.items()))
+            row.append(MultiPoly(p + 1, Counter(
+                leg_profile(pi, word) for pi in enumerate_adapted(spec, budget)
+            )))
+        hists.append(row)
     return hists
 
 
-def verify_shift_identity(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> Report:
+def _table_shape(hists: Sequence[Sequence[MultiPoly]]) -> tuple[int, int]:
+    """(p, k_max) of a :func:`listed_histograms` table, which must be (p+1) x (k_max+1)."""
+    p = len(hists) - 1
+    k_max = len(hists[0]) - 1 if hists else -1
+    if p < 1 or k_max < 0 or any(len(row) != k_max + 1 for row in hists):
+        raise ValueError(f"need a (p+1) x (k_max+1) table with p >= 1, "
+                         f"got rows of lengths {[len(row) for row in hists]}")
+    return p, k_max
+
+
+def verify_shift_identity(hists: Sequence[Sequence[MultiPoly]]) -> Report:
     """Exhaustively check the profile relation between shifted and base words.
 
-    For every shift i in [1, p], order k <= k_max, and profile vector,
-    the number of adapted matchings of the shift-i word with profile
-    (q_0, ..., q_p) must equal the number for the shift-0 word with
-    profile (q_0 - 1, ..., q_i + 1, ...).  Both directions are compared
-    so neither histogram can hide extra mass.
+    ``hists`` is a :func:`listed_histograms` table.  For every shift i in
+    [1, p], order k <= k_max, and profile vector, the number of adapted
+    matchings of the shift-i word with profile (q_0, ..., q_p) must equal
+    the number for the shift-0 word with profile
+    (q_0 - 1, ..., q_i + 1, ...).  Both directions are compared so
+    neither histogram can hide extra mass.
     """
+    p, k_max = _table_shape(hists)
     report = Report(name=f"shift-identity p={p} k<={k_max}")
-    hists = _enumerated_histograms(p, k_max, budget)
     for k in range(1, k_max + 1):
-        hist0 = hists[0, k]
-        for r in hist0:
+        hist0 = hists[0][k].terms
+        for r in sorted(hist0):
             report.tally(
                 all(r[i] >= 1 for i in range(1, p + 1)),
                 lambda: f"k={k}: base-word profile {r} has an empty slot above 0",
             )
         for i in range(1, p + 1):
-            hist_i = hists[i, k]
+            hist_i = hists[i][k].terms
             for q, count in sorted(hist_i.items()):
                 report.tally(
                     q[0] >= 1,
@@ -463,25 +478,11 @@ def verify_shift_identity(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> R
     return report
 
 
-def _poly_from_histogram(p: int, shift: int, k: int, hists: dict) -> MultiPoly:
-    return MultiPoly(p + 1, hists[shift, k])
-
-
-def _histogram_product(
-    acc: dict[tuple[int, ...], int], hist: dict[tuple[int, ...], int]
-) -> dict[tuple[int, ...], int]:
-    out: dict[tuple[int, ...], int] = {}
-    for prof_a, count_a in acc.items():
-        for prof_b, count_b in hist.items():
-            key = tuple(a + b for a, b in zip(prof_a, prof_b))
-            out[key] = out.get(key, 0) + count_a * count_b
-    return out
-
-
-def verify_product_decomposition(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> Report:
+def verify_product_decomposition(hists: Sequence[Sequence[MultiPoly]]) -> Report:
     """Check the product form of the profile generating series, two ways.
 
-    Writing G_i for the generating series whose x^k coefficient is the
+    ``hists`` is a :func:`listed_histograms` table.  Writing G_i for the
+    generating series whose x^k coefficient is ``hists[i][k]``, the
     profile polynomial of the shift-i word, the sweep checks
 
         G_0 - 1 = x * d_1 ... d_p * G_0 * G_1 * ... * G_p
@@ -491,39 +492,30 @@ def verify_product_decomposition(p: int, k_max: int, budget: int = DEFAULT_BUDGE
     j equals the convolution of shift-0..p histograms at orders summing
     to k - 1 with profile slots summing to (j_0, j_1 - 1, ..., j_p - 1).
     """
+    p, k_max = _table_shape(hists)
     report = Report(name=f"product-decomposition p={p} k<={k_max}")
     num_vars = p + 1
-    hists = _enumerated_histograms(p, k_max, budget)
-
-    series = [
-        [_poly_from_histogram(p, shift, k, hists) for k in range(k_max + 1)]
-        for shift in range(p + 1)
-    ]
-    d_product = MultiPoly.constant(num_vars, 1)
-    for i in range(1, p + 1):
-        d_product = d_product * MultiPoly.variable(num_vars, i)
-    product = series[0]
-    for s in series[1:]:
-        product = truncated_mul(product, s, k_max, MultiPoly(num_vars))
-    lhs = [series[0][0] - 1] + series[0][1:]
-    rhs = [MultiPoly(num_vars)] + [c * d_product for c in product[:-1]]
+    zero, one = MultiPoly(num_vars), MultiPoly.constant(num_vars, 1)
+    d_product = MultiPoly(num_vars, {(0,) + (1,) * p: 1})
+    product = hists[0]
+    for s in hists[1:]:
+        product = truncated_mul(product, s, k_max, zero)
+    lhs = [hists[0][0] - 1] + list(hists[0][1:])
+    rhs = [zero] + [c * d_product for c in product[:-1]]
     for k in range(k_max + 1):
         report.tally(
             lhs[k] == rhs[k],
             lambda: f"series identity fails at order {k}: {(lhs[k] - rhs[k]).to_string()}",
         )
 
-    from .exact import _compositions  # composition generator shared with the closed form
-
     for k in range(1, k_max + 1):
-        total: dict[tuple[int, ...], int] = {}
-        for orders in _compositions(k - 1, p + 1, 0, k - 1):
-            acc = {(0,) * num_vars: 1}
+        convolution = zero
+        for orders in _compositions(k - 1, num_vars, 0, k - 1):
+            term = one
             for shift, k_i in enumerate(orders):
-                acc = _histogram_product(acc, hists[(shift, k_i)])
-            for prof, count in acc.items():
-                total[prof] = total.get(prof, 0) + count
-        base = hists[(0, k)]
+                term = term * hists[shift][k_i]
+            convolution = convolution + term
+        base, total = hists[0][k].terms, convolution.terms
         keys = set(base)
         for sums in total:
             keys.add((sums[0],) + tuple(s + 1 for s in sums[1:]))

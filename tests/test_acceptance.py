@@ -37,6 +37,7 @@ from fussnarayana.partitions import (
     enumerate_adapted,
     enumerated_moment_poly,
     leg_profile,
+    listed_histograms,
     noncrossing_matchings,
     rotate_cover,
     rotate_cover_inverse,
@@ -126,8 +127,9 @@ def test_criterion_03_three_way_oracle_agreement():
 def test_criterion_04_lemma_suite():
     with criterion(4, "shift-identity and product-decomposition sweeps are clean"):
         for p, k_max in [(1, 4), (2, 2), (3, 2)]:
-            shift_report = verify_shift_identity(p, k_max)
-            product_report = verify_product_decomposition(p, k_max)
+            hists = listed_histograms(p, k_max)
+            shift_report = verify_shift_identity(hists)
+            product_report = verify_product_decomposition(hists)
             assert shift_report.ok, shift_report.mismatches[:5]
             assert product_report.ok, product_report.mismatches[:5]
             assert shift_report.checks and product_report.checks

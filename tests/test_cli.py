@@ -108,6 +108,16 @@ def test_enumerate_budget_exceeded(capsys, monkeypatch):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [("enumerate", "-p", "1", "-k", "9", "--list"),
+                                  ("verify", "--suite", "lemmas", "-p", "2", "--k-max", "5")])
+def test_budget_error_names_its_override(capsys, monkeypatch, argv):
+    monkeypatch.delenv("FN_BUDGET", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: word length 2*p*k = ") and "FN_BUDGET" in err
+
+
 def test_enumerate_count_lists_no_matching(capsys, monkeypatch):
     # Catalan(30) matchings, counted by the interval recurrence alone
     def unavailable(*args, **kwargs):

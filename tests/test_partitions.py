@@ -18,6 +18,7 @@ from fussnarayana.partitions import (
     enumerate_adapted,
     enumerated_moment_poly,
     leg_profile,
+    listed_histograms,
     noncrossing_matchings,
     profile_count,
     profile_histogram,
@@ -283,35 +284,67 @@ def test_iterated_rotation_maps_shifted_words_onto_base():
 
 def test_verify_shift_identity_clean():
     for p, k_max in [(1, 4), (2, 2), (3, 2)]:
-        report = verify_shift_identity(p, k_max)
+        report = verify_shift_identity(listed_histograms(p, k_max))
         assert report.ok, report.mismatches[:5]
         assert report.checks > 0
 
 
 def test_verify_product_decomposition_clean():
     for p, k_max in [(1, 4), (2, 2), (3, 2)]:
-        report = verify_product_decomposition(p, k_max)
+        report = verify_product_decomposition(listed_histograms(p, k_max))
         assert report.ok, report.mismatches[:5]
         assert report.checks > 0
 
 
+def test_listed_histograms_are_the_brute_profile_polynomials():
+    hists = listed_histograms(2, 2)
+    assert [len(row) for row in hists] == [3, 3, 3]
+    for shift, row in enumerate(hists):
+        assert row[0] == MultiPoly.constant(3, 1)
+        for k in (1, 2):
+            spec = WordSpec(2, shift, k)
+            word = build_word(spec)
+            brute = Counter(leg_profile(pi, word) for pi in enumerate_adapted(spec))
+            assert row[k] == MultiPoly(3, brute), (shift, k)
+    assert hists[0][2] == limit_moment_poly(2, 2)
+
+
 @pytest.mark.parametrize("shift,order,first_failure", [(0, 1, 1), (0, 2, 2), (1, 1, 2), (2, 1, 2)])
-def test_verify_product_decomposition_catches_a_planted_coefficient(
-    monkeypatch, shift, order, first_failure
-):
+def test_verify_product_decomposition_catches_a_planted_coefficient(shift, order, first_failure):
     # one profile polynomial off by one: G_0 breaks the left side at its own
-    # order, G_1 and G_2 break the right side one order up (the factor x)
-    honest = partitions._poly_from_histogram
-
-    def planted(p, s, k, budget):
-        poly = honest(p, s, k, budget)
-        return poly + 1 if (s, k) == (shift, order) else poly
-
-    monkeypatch.setattr(partitions, "_poly_from_histogram", planted)
-    report = verify_product_decomposition(2, 2)
+    # order, G_1 and G_2 break the right side one order up (the factor x);
+    # the coefficient recurrence reads the same table and flags the same order
+    hists = listed_histograms(2, 2)
+    hists[shift][order] = hists[shift][order] + 1
+    report = verify_product_decomposition(hists)
     assert not report.ok
     assert report.mismatches[0].startswith(f"series identity fails at order {first_failure}: ")
-    assert all(m.startswith("series identity fails at order") for m in report.mismatches)
+    recurrence = [m for m in report.mismatches if not m.startswith("series identity")]
+    assert recurrence and recurrence[0].startswith(f"k={first_failure}: ")
+
+
+@pytest.mark.parametrize("p,k_max,shift,order",
+                         [(1, 3, 1, 2), (2, 2, 1, 1), (2, 2, 2, 2), (3, 2, 3, 1)])
+def test_verify_shift_identity_catches_a_planted_count(p, k_max, shift, order):
+    hists = listed_histograms(p, k_max)
+    planted = hists[shift][order]
+    profile = max(planted.terms)
+    hists[shift][order] = planted + MultiPoly(p + 1, {profile: 1})
+    report = verify_shift_identity(hists)
+    assert not report.ok
+    assert any(m.startswith(f"k={order} shift={shift}: ") for m in report.mismatches)
+
+
+@pytest.mark.parametrize("sweep", [verify_shift_identity, verify_product_decomposition])
+@pytest.mark.parametrize("rows", [
+    [],  # no shift at all
+    [[MultiPoly.constant(2, 1), MultiPoly(2)]],  # p = 0
+    [[MultiPoly.constant(2, 1), MultiPoly(2)], [MultiPoly.constant(2, 1)]],  # ragged
+    [[], []],  # no order 0
+])
+def test_sweeps_reject_a_table_of_the_wrong_shape(sweep, rows):
+    with pytest.raises(ValueError, match=r"\(p\+1\) x \(k_max\+1\) table"):
+        sweep(rows)
 
 
 def test_lemma_sweeps_never_read_the_interval_count(monkeypatch):
@@ -321,23 +354,23 @@ def test_lemma_sweeps_never_read_the_interval_count(monkeypatch):
         raise AssertionError("profile_histogram called from a lemma sweep")
 
     monkeypatch.setattr(partitions, "profile_histogram", unavailable)
+    hists = listed_histograms(2, 2)
     for sweep in (verify_shift_identity, verify_product_decomposition):
-        report = sweep(2, 2)
+        report = sweep(hists)
         assert report.ok and report.checks > 0, report.mismatches[:5]
 
 
 def test_verify_respects_budget():
     with pytest.raises(BudgetError):
-        verify_shift_identity(3, 3)
-    with pytest.raises(BudgetError):
-        verify_product_decomposition(3, 3)
+        listed_histograms(3, 3)
 
 
 @pytest.mark.parametrize("sweep", [verify_shift_identity, verify_product_decomposition])
 def test_sweeps_stop_at_the_first_order_over_the_budget(sweep):
-    # 2pk = 20 at k = 5 is the first word past 16, and enumeration names it
+    # 2pk = 20 at k = 5 is the first word past 16, and listing names it
+    # before either sweep starts
     with pytest.raises(BudgetError, match=r"2\*p\*k = 20 exceeds the enumeration budget 16"):
-        sweep(2, 7, budget=16)
+        sweep(listed_histograms(2, 7, budget=16))
 
 
 # -- randomized structural checks ----------------------------------------------
