@@ -132,7 +132,7 @@ def _poly_by_method(method: str, p: int, k: int, budget: int) -> MultiPoly:
     if method == "closed":
         return exact.limit_moment_poly(p, k)
     if method == "enumerate":
-        return partitions.enumerated_moment_poly(p, k, budget=budget)
+        return partitions.profile_histogram(p, k, 0, budget)
     if k == 0:
         return MultiPoly.constant(p + 1, 1)
     return solve_functional_equation(p, k)[k].divide_by_variable(0)
@@ -177,17 +177,16 @@ def cmd_enumerate(args) -> int:
         for pi in partitions.enumerate_adapted(spec, budget=budget):
             print(pi.to_line() if pi.size else "()")
         return 0
+    counts = partitions.profile_histogram(args.p, args.k, args.shift, budget).terms
     if args.profiles:
-        hist = partitions.profile_histogram(args.p, args.k, args.shift, budget=budget)
         print(json.dumps({
             "profiles": [
                 {"profile": list(prof), "count": count}
-                for prof, count in sorted(hist.items())
+                for prof, count in sorted(counts.items())
             ],
         }, indent=2))
-        return 0
-    hist = partitions.profile_histogram(args.p, args.k, args.shift, budget=budget)
-    print(sum(hist.values()))
+    else:
+        print(sum(counts.values()))
     return 0
 
 
@@ -242,8 +241,7 @@ def _oracle_sweep(p: int, k_max: int, budget: int):
     """Closed form, counted matchings and one series solve to k_max, order by order."""
     report = Report(name=f"three-route agreement p={p} k<={k_max}")
     # counted first, so an order over the budget fails before any other work
-    enumerated = [partitions.enumerated_moment_poly(p, k, budget=budget)
-                  for k in range(k_max + 1)]
+    enumerated = [partitions.profile_histogram(p, k, 0, budget) for k in range(k_max + 1)]
     g = solve_functional_equation(p, k_max)
     for k, counted in enumerate(enumerated):
         closed = exact.limit_moment_poly(p, k)

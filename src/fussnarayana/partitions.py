@@ -27,16 +27,18 @@ matching on a length-2pk word always sum to pk, the number of blocks.
 For the shift-0 word the generating polynomial of profiles equals the
 limit moment polynomial.
 
-Counting and listing.  ``profile_histogram`` (and with it
-``enumerated_moment_poly`` and ``profile_count``) counts matchings by
+Counting and listing.  ``profile_histogram`` counts matchings by
 profile with the first-block recurrence on intervals of the periodic
-word, without building a matching.  ``enumerate_adapted`` and
-``leg_profile`` list and profile them one by one, and
-``listed_histograms`` collects those brute histograms for every shift
-and order into one table of profile polynomials.  Both verification
-sweeps take that table, because the identities they check are the
-recurrence the counter relies on, so each word is listed once for
-both.  Both ways refuse words longer than the budget (``BudgetError``).
+word, without building a matching, and returns the profile polynomial
+as a ``MultiPoly``; at shift 0 that is the limit moment polynomial, and
+the count of one profile is its coefficient in ``.terms``.
+``enumerate_adapted`` and ``leg_profile`` list and profile them one by
+one, and ``listed_histograms`` collects those brute histograms for
+every shift and order into one table of profile polynomials.  Both
+verification sweeps take that table, because the identities they check
+are the recurrence the counter relies on, so each word is listed once
+for both.  Both ways refuse words longer than the budget
+(``BudgetError``).
 
 Cover rotation.  ``rotate_cover`` is the bijection on noncrossing pair
 matchings that removes the block opened at the first position, slides
@@ -266,8 +268,13 @@ def leg_profile(pi: PairPartition, word: Sequence[Letter]) -> tuple[int, ...]:
 
 def profile_histogram(
     p: int, k: int, shift: int = 0, budget: int = DEFAULT_BUDGET
-) -> dict[tuple[int, ...], int]:
-    """Counts of adapted matchings by leg profile, as a fresh dict sorted by profile.
+) -> MultiPoly:
+    """Profile polynomial of the adapted matchings of the shift-``shift`` word.
+
+    One monomial d0^j0 ... dp^jp per adapted matching, j its leg
+    profile, so the coefficient of d^j counts the matchings with profile
+    j.  At shift 0 this is the limit moment polynomial P_k; no binomial
+    is computed here, and at k = 0 the empty matching gives 1.
 
     Counted by the first-block recurrence, without listing a matching.
     The word is 2p-periodic, so the histogram of an interval depends only
@@ -317,29 +324,8 @@ def profile_histogram(
             slots.append(digit)
         return tuple(slots)
 
-    return dict(sorted((unpack(key), count) for key, count in table[0, size].items()))
-
-
-def enumerated_moment_poly(p: int, k: int, budget: int = DEFAULT_BUDGET) -> MultiPoly:
-    """Limit moment polynomial assembled from the adapted noncrossing matchings.
-
-    One monomial d0^j0 ... dp^jp per adapted noncrossing matching of the
-    k-fold shift-0 word, with j the leg profile, summed by
-    :func:`profile_histogram`'s interval recurrence.  Independent of the
-    closed-form route: no binomial is ever computed here.  At k = 0 the
-    empty matching gives the constant 1.
-    """
-    return MultiPoly(p + 1, profile_histogram(p, k, 0, budget))
-
-
-def profile_count(
-    p: int, k: int, profile: Sequence[int], shift: int = 0, budget: int = DEFAULT_BUDGET
-) -> int:
-    """Number of adapted matchings of the shift-``shift`` word with this profile."""
-    prof = tuple(int(x) for x in profile)
-    if len(prof) != p + 1:
-        raise ValueError(f"profile must have p+1 = {p + 1} entries, got {len(prof)}")
-    return profile_histogram(p, k, shift, budget).get(prof, 0)
+    counts = table[0, size]
+    return MultiPoly._from_terms(p + 1, {unpack(key): count for key, count in counts.items()})
 
 
 # -- cover rotation ----------------------------------------------------------

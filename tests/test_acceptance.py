@@ -35,10 +35,10 @@ from fussnarayana.partitions import (
     WordSpec,
     build_word,
     enumerate_adapted,
-    enumerated_moment_poly,
     leg_profile,
     listed_histograms,
     noncrossing_matchings,
+    profile_histogram,
     rotate_cover,
     rotate_cover_inverse,
     verify_product_decomposition,
@@ -118,7 +118,7 @@ def test_criterion_03_three_way_oracle_agreement():
     with criterion(3, "closed form = enumeration = series coefficient"):
         for p, k in sweep_pairs(3, 16):
             closed = limit_moment_poly(p, k)
-            counted = enumerated_moment_poly(p, k)
+            counted = profile_histogram(p, k)
             solved = solve_functional_equation(p, k)[k].divide_by_variable(0)
             assert closed == counted, (p, k, "enumeration")
             assert closed == solved, (p, k, "series")

@@ -180,8 +180,8 @@ def test_verify_oracle_catches_a_planted_count(capsys, monkeypatch, p, k):
     def planted(p_, k_, shift=0, budget=partitions.DEFAULT_BUDGET):
         hist = honest(p_, k_, shift, budget)
         if (p_, k_) == (p, k):
-            first = next(iter(hist))
-            hist[first] += 1
+            first = next(iter(hist.terms))
+            hist.terms[first] += 1
         return hist
 
     monkeypatch.setattr(partitions, "profile_histogram", planted)

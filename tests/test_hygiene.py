@@ -2,8 +2,7 @@
 
 No linter runs in CI, so this parses each file with ``ast`` and fails on
 a name bound by an import and never read.  ``from __future__`` imports
-and the package ``__init__.py`` (whose imports are re-exports) are
-skipped.
+are skipped.
 """
 
 import ast
@@ -16,7 +15,6 @@ FILES = sorted(
     path
     for pattern in ("src/fussnarayana/*.py", "tests/*.py", "demos/*.py")
     for path in ROOT.glob(pattern)
-    if path.name != "__init__.py"
 )
 
 

@@ -16,11 +16,9 @@ from fussnarayana.partitions import (
     base_word,
     build_word,
     enumerate_adapted,
-    enumerated_moment_poly,
     leg_profile,
     listed_histograms,
     noncrossing_matchings,
-    profile_count,
     profile_histogram,
     rotate_cover,
     rotate_cover_inverse,
@@ -129,7 +127,7 @@ def test_budget_is_enforced():
     with pytest.raises(BudgetError):
         list(enumerate_adapted(WordSpec(3, 0, 3)))
     with pytest.raises(BudgetError):
-        enumerated_moment_poly(2, 5)
+        profile_histogram(2, 5)
     with pytest.raises(BudgetError):
         profile_histogram(1, 9)
     # explicit larger budget unlocks the same call
@@ -138,18 +136,19 @@ def test_budget_is_enforced():
 
 def test_empty_word_conventions():
     assert sum(1 for _ in enumerate_adapted(WordSpec(2, 0, 0))) == 1
-    assert profile_count(2, 0, (0, 0, 0)) == 1
-    assert profile_count(2, 0, (1, 0, 0)) == 0
-    assert profile_count(2, 0, (0, 0, 0), shift=2, budget=0) == 1
-    assert enumerated_moment_poly(2, 0, budget=0) == MultiPoly.constant(3, 1)
+    counts = profile_histogram(2, 0).terms
+    assert counts.get((0, 0, 0), 0) == 1
+    assert counts.get((1, 0, 0), 0) == 0
+    assert profile_histogram(2, 0, shift=2, budget=0).terms.get((0, 0, 0), 0) == 1
+    assert profile_histogram(2, 0, budget=0) == MultiPoly.constant(3, 1)
 
 
 def test_order_zero_arguments_are_validated():
     # k = 0 takes the same path as every other order, argument checks included
     with pytest.raises(ValueError, match="need p >= 1"):
-        enumerated_moment_poly(0, 0)
+        profile_histogram(0, 0)
     with pytest.raises(ValueError, match="shift must lie in"):
-        profile_count(2, 0, (0, 0, 0), shift=3)
+        profile_histogram(2, 0, shift=3)
 
 
 # -- leg profiles ---------------------------------------------------------------
@@ -179,31 +178,28 @@ def test_leg_profile_rejects_non_adapted():
 
 
 def test_profile_histogram_and_counts():
-    hist = profile_histogram(2, 2)
-    assert hist == {(0, 2, 2): 1, (1, 1, 2): 1, (1, 2, 1): 1}
-    assert profile_count(2, 2, (1, 1, 2)) == 1
-    assert profile_count(2, 2, (2, 1, 1)) == 0
-    with pytest.raises(ValueError):
-        profile_count(2, 2, (1, 1))
+    counts = profile_histogram(2, 2).terms
+    assert counts == {(0, 2, 2): 1, (1, 1, 2): 1, (1, 2, 1): 1}
+    assert counts.get((1, 1, 2), 0) == 1
+    assert counts.get((2, 1, 1), 0) == 0
     # base word, p = 1, k = 3: profile (1, 2) appears N(3, (2, 2)) = 3 times
-    assert profile_count(1, 3, (1, 2)) == 3
-    assert profile_count(1, 3, (1, 2)) == fuss_narayana_number(3, (2, 2))
-    assert profile_count(2, 3, (1, 2, 3)) == 3
-    assert profile_count(2, 3, (1, 2, 3)) == fuss_narayana_number(3, (2, 2, 3))
+    count = profile_histogram(1, 3).terms.get((1, 2), 0)
+    assert count == 3 == fuss_narayana_number(3, (2, 2))
+    count = profile_histogram(2, 3).terms.get((1, 2, 3), 0)
+    assert count == 3 == fuss_narayana_number(3, (2, 2, 3))
 
 
 def test_profile_histogram_equals_brute_enumeration():
-    # the interval recurrence against a tally of every listed matching,
-    # items in profile order
+    # the interval recurrence against a tally of every listed matching
     for p in range(1, 9):
         for shift in range(p + 1):
-            assert profile_histogram(p, 0, shift) == {(0,) * (p + 1): 1}
+            assert profile_histogram(p, 0, shift).terms == {(0,) * (p + 1): 1}
             for k in range(1, 16 // (2 * p) + 1):
                 spec = WordSpec(p, shift, k)
                 word = build_word(spec)
                 brute = Counter(leg_profile(pi, word) for pi in enumerate_adapted(spec, 16))
                 hist = profile_histogram(p, k, shift, 16)
-                assert list(hist.items()) == sorted(brute.items()), (p, shift, k)
+                assert hist == MultiPoly(p + 1, brute), (p, shift, k)
 
 
 def test_profiles_sum_to_block_count():
@@ -218,7 +214,7 @@ def test_profiles_sum_to_block_count():
 def test_enumerated_moment_poly_matches_closed_form():
     for p in (1, 2, 3):
         for k in range(0, 16 // (2 * p) + 1):
-            assert enumerated_moment_poly(p, k) == limit_moment_poly(p, k), (p, k)
+            assert profile_histogram(p, k) == limit_moment_poly(p, k), (p, k)
 
 
 # -- cover rotation --------------------------------------------------------------
