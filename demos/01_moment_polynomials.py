@@ -20,7 +20,7 @@ VAR_NAMES = ["d0", "d1", "d2", "d3"]
 
 def show(p: int, k: int) -> None:
     closed = limit_moment_poly(p, k)
-    counted = profile_histogram(p, k)
+    counted = profile_histogram(p, k)[k]
     series = solve_functional_equation(p, k)[k].divide_by_variable(0)
     assert closed == counted == series
     names = VAR_NAMES[: p + 1]

@@ -66,25 +66,30 @@ def build_parser() -> argparse.ArgumentParser:
     poly.add_argument("-p", type=int, required=True, help="number of matrix factors")
     poly.add_argument("-k", type=int, required=True, help="moment order")
     group = poly.add_mutually_exclusive_group()
-    group.add_argument("--closed", action="store_true", help="closed form (default)")
-    group.add_argument("--enumerate", action="store_true", dest="enumerate_",
+    group.add_argument("--closed", action="store_const", dest="method", const="closed",
+                       help="closed form (default)")
+    group.add_argument("--enumerate", action="store_const", dest="method", const="enumerate",
                        help="brute-force noncrossing enumeration")
-    group.add_argument("--series", action="store_true", help="functional-equation series")
-    group.add_argument("--all-methods", action="store_true",
+    group.add_argument("--series", action="store_const", dest="method", const="series",
+                       help="functional-equation series")
+    group.add_argument("--all-methods", action="store_const", dest="method", const="all",
                        help="all three methods plus an agreement flag")
     poly.add_argument("--vars", choices=("d", "t"), default="d",
                       help="d: ratios d0..dp; t: shapes t1..tp (d0 = 1)")
-    poly.set_defaults(func=cmd_poly)
+    poly.set_defaults(func=cmd_poly, method="closed")
 
     enum = sub.add_parser("enumerate", help="list or count adapted noncrossing matchings")
     enum.add_argument("-p", type=int, required=True)
     enum.add_argument("-k", type=int, required=True)
     enum.add_argument("--shift", type=int, default=0, help="cyclic shift of the base word")
     mode = enum.add_mutually_exclusive_group()
-    mode.add_argument("--count", action="store_true", help="print the count (default)")
-    mode.add_argument("--list", action="store_true", dest="list_", help="one matching per line")
-    mode.add_argument("--profiles", action="store_true", help="leg-profile histogram as JSON")
-    enum.set_defaults(func=cmd_enumerate)
+    mode.add_argument("--count", action="store_const", dest="mode", const="count",
+                      help="print the count (default)")
+    mode.add_argument("--list", action="store_const", dest="mode", const="list",
+                      help="one matching per line")
+    mode.add_argument("--profiles", action="store_const", dest="mode", const="profiles",
+                      help="leg-profile histogram as JSON")
+    enum.set_defaults(func=cmd_enumerate, mode="count")
 
     verify = sub.add_parser("verify", help="run an exhaustive verification sweep")
     verify.add_argument("--suite", choices=("lemmas", "oracle", "freeprob"), required=True)
@@ -99,11 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shape parameters, exact rationals like 1,1/2")
     moments.add_argument("-K", type=int, required=True, help="largest moment order")
     mmode = moments.add_mutually_exclusive_group()
-    mmode.add_argument("--exact", action="store_true",
+    mmode.add_argument("--exact", action="store_const", dest="mode", const="exact",
                        help="closed-form rational moments (default)")
-    mmode.add_argument("--quadrature", action="store_true",
+    mmode.add_argument("--quadrature", action="store_const", dest="mode", const="quadrature",
                        help="also integrate the density numerically (one shape only)")
-    moments.set_defaults(func=cmd_moments)
+    moments.set_defaults(func=cmd_moments, mode="exact")
 
     mc = sub.add_parser("mc", help="Monte Carlo moments of a Gaussian product")
     mc.add_argument("-d", type=_float_list, required=True, metavar="D0,D1,...",
@@ -132,7 +137,7 @@ def _poly_by_method(method: str, p: int, k: int, budget: int) -> MultiPoly:
     if method == "closed":
         return exact.limit_moment_poly(p, k)
     if method == "enumerate":
-        return partitions.profile_histogram(p, k, 0, budget)
+        return partitions.profile_histogram(p, k, 0, budget)[k]
     if k == 0:
         return MultiPoly.constant(p + 1, 1)
     return solve_functional_equation(p, k)[k].divide_by_variable(0)
@@ -142,10 +147,6 @@ def cmd_poly(args) -> int:
     if args.p < 1 or args.k < 0:
         raise ValueError("need -p >= 1 and -k >= 0")
     budget = _budget()
-    selected = [name for name, on in (
-        ("closed", args.closed), ("enumerate", args.enumerate_), ("series", args.series),
-    ) if on]
-    method = selected[0] if selected else "closed"
 
     def rendered(poly: MultiPoly) -> tuple[dict, MultiPoly]:
         if args.vars == "t":
@@ -155,7 +156,7 @@ def cmd_poly(args) -> int:
             names = [f"d{i}" for i in range(args.p + 1)]
         return poly.to_json_dict(names), poly
 
-    if args.all_methods:
+    if args.method == "all":
         out = {}
         polys = []
         for name in ("closed", "enumerate", "series"):
@@ -165,7 +166,7 @@ def cmd_poly(args) -> int:
         out["agree"] = polys[0] == polys[1] == polys[2]
         print(json.dumps(out, indent=2))
         return 0
-    doc, _ = rendered(_poly_by_method(method, args.p, args.k, budget))
+    doc, _ = rendered(_poly_by_method(args.method, args.p, args.k, budget))
     print(json.dumps(doc, indent=2))
     return 0
 
@@ -173,12 +174,12 @@ def cmd_poly(args) -> int:
 def cmd_enumerate(args) -> int:
     spec = partitions.WordSpec(args.p, args.shift, args.k)
     budget = _budget()
-    if args.list_:
+    if args.mode == "list":
         for pi in partitions.enumerate_adapted(spec, budget=budget):
             print(pi.to_line() if pi.size else "()")
         return 0
-    counts = partitions.profile_histogram(args.p, args.k, args.shift, budget).terms
-    if args.profiles:
+    counts = partitions.profile_histogram(args.p, args.k, args.shift, budget)[args.k].terms
+    if args.mode == "profiles":
         print(json.dumps({
             "profiles": [
                 {"profile": list(prof), "count": count}
@@ -241,7 +242,7 @@ def _oracle_sweep(p: int, k_max: int, budget: int):
     """Closed form, counted matchings and one series solve to k_max, order by order."""
     report = Report(name=f"three-route agreement p={p} k<={k_max}")
     # counted first, so an order over the budget fails before any other work
-    enumerated = [partitions.profile_histogram(p, k, 0, budget) for k in range(k_max + 1)]
+    enumerated = partitions.profile_histogram(p, k_max, 0, budget)
     g = solve_functional_equation(p, k_max)
     for k, counted in enumerate(enumerated):
         closed = exact.limit_moment_poly(p, k)
@@ -288,13 +289,13 @@ def cmd_moments(args) -> int:
     shapes = args.t
     if args.K < 1:
         raise ValueError("need -K >= 1")
-    if args.quadrature:
+    if args.mode == "quadrature":
         if len(shapes) != 1:
             raise ValueError("--quadrature applies to a single shape parameter")
         if args.K > 8:
             raise ValueError("--quadrature supports orders up to 8")
     table = freeprob.moments_by_closed_form(shapes, args.K)
-    if args.quadrature:
+    if args.mode == "quadrature":
         numeric = freeprob.quadrature_moments(shapes[0], args.K)
         print("k,moment,estimate,abs_diff")
         for k in range(1, args.K + 1):

@@ -29,9 +29,10 @@ limit moment polynomial.
 
 Counting and listing.  ``profile_histogram`` counts matchings by
 profile with the first-block recurrence on intervals of the periodic
-word, without building a matching, and returns the profile polynomial
-as a ``MultiPoly``; at shift 0 that is the limit moment polynomial, and
-the count of one profile is its coefficient in ``.terms``.
+word, without building a matching, and returns the profile polynomials
+of orders 0..k as ``MultiPoly``s read off one table of intervals; at
+shift 0 entry k is the limit moment polynomial P_k, and the count of one
+profile is its coefficient in ``.terms``.
 ``enumerate_adapted`` and ``leg_profile`` list and profile them one by
 one, and ``listed_histograms`` collects those brute histograms for
 every shift and order into one table of profile polynomials.  Both
@@ -104,10 +105,6 @@ class WordSpec:
             raise ValueError(f"shift must lie in [0, p], got {self.shift}")
         if self.k < 0:
             raise ValueError(f"need k >= 0, got {self.k}")
-
-    @property
-    def length(self) -> int:
-        return 2 * self.p * self.k
 
 
 def base_word(p: int, shift: int = 0) -> tuple[Letter, ...]:
@@ -268,13 +265,14 @@ def leg_profile(pi: PairPartition, word: Sequence[Letter]) -> tuple[int, ...]:
 
 def profile_histogram(
     p: int, k: int, shift: int = 0, budget: int = DEFAULT_BUDGET
-) -> MultiPoly:
-    """Profile polynomial of the adapted matchings of the shift-``shift`` word.
+) -> list[MultiPoly]:
+    """Profile polynomials of the shift-``shift`` words of every order 0..k.
 
-    One monomial d0^j0 ... dp^jp per adapted matching, j its leg
-    profile, so the coefficient of d^j counts the matchings with profile
-    j.  At shift 0 this is the limit moment polynomial P_k; no binomial
-    is computed here, and at k = 0 the empty matching gives 1.
+    Entry j has one monomial d0^j0 ... dp^jp per adapted matching of the
+    order-j word, j its leg profile, so the coefficient of d^j counts
+    the matchings with that profile.  At shift 0 entry j is the limit
+    moment polynomial P_j, indexed like the series route's g[0..k]; no
+    binomial is computed here, and at order 0 the empty matching gives 1.
 
     Counted by the first-block recurrence, without listing a matching.
     The word is 2p-periodic, so the histogram of an interval depends only
@@ -283,8 +281,9 @@ def profile_histogram(
     its mate; that block feeds the slot of its right-leg letter, the
     ``leg_profile`` rule, and the rest splits into the inside interval
     (offset + 1, m - 1) and the outside one (offset + m + 1, L - m - 1).
-    The table of interval histograms lives for one call.  The budget
-    caps 2pk exactly as for ``enumerate_adapted``.
+    The order-j word is the interval (0, 2pj), so the one table of
+    interval histograms, which lives for one call, holds every order.
+    The budget caps 2pk exactly as for ``enumerate_adapted``.
     """
     if k:
         _check_budget(p, k, budget)
@@ -324,8 +323,8 @@ def profile_histogram(
             slots.append(digit)
         return tuple(slots)
 
-    counts = table[0, size]
-    return MultiPoly._from_terms(p + 1, {unpack(key): count for key, count in counts.items()})
+    return [MultiPoly._from_terms(p + 1, {unpack(key): count for key, count in counts.items()})
+            for counts in (table[0, period * j] for j in range(k + 1))]
 
 
 # -- cover rotation ----------------------------------------------------------

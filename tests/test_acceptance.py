@@ -118,7 +118,7 @@ def test_criterion_03_three_way_oracle_agreement():
     with criterion(3, "closed form = enumeration = series coefficient"):
         for p, k in sweep_pairs(3, 16):
             closed = limit_moment_poly(p, k)
-            counted = profile_histogram(p, k)
+            counted = profile_histogram(p, k)[k]
             solved = solve_functional_equation(p, k)[k].divide_by_variable(0)
             assert closed == counted, (p, k, "enumeration")
             assert closed == solved, (p, k, "series")

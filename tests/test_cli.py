@@ -178,11 +178,11 @@ def test_verify_oracle_catches_a_planted_count(capsys, monkeypatch, p, k):
     honest = partitions.profile_histogram
 
     def planted(p_, k_, shift=0, budget=partitions.DEFAULT_BUDGET):
-        hist = honest(p_, k_, shift, budget)
-        if (p_, k_) == (p, k):
-            first = next(iter(hist.terms))
-            hist.terms[first] += 1
-        return hist
+        hists = honest(p_, k_, shift, budget)
+        if p_ == p:
+            first = next(iter(hists[k].terms))
+            hists[k].terms[first] += 1
+        return hists
 
     monkeypatch.setattr(partitions, "profile_histogram", planted)
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--pk-budget", "16")
@@ -203,6 +203,20 @@ def test_verify_oracle_solves_each_series_once(capsys, monkeypatch):
         return honest(p, order, *args, **kwargs)
 
     monkeypatch.setattr(cli, "solve_functional_equation", counted)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--pk-budget", "60")
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert calls == [(1, 30), (2, 15), (3, 10)]
+
+
+def test_verify_oracle_counts_each_p_once(capsys, monkeypatch):
+    calls = []
+    honest = partitions.profile_histogram
+
+    def counted(p, k, *args, **kwargs):
+        calls.append((p, k))
+        return honest(p, k, *args, **kwargs)
+
+    monkeypatch.setattr(partitions, "profile_histogram", counted)
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--pk-budget", "60")
     assert code == 0 and json.loads(out)["ok"] is True
     assert calls == [(1, 30), (2, 15), (3, 10)]

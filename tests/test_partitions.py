@@ -136,11 +136,11 @@ def test_budget_is_enforced():
 
 def test_empty_word_conventions():
     assert sum(1 for _ in enumerate_adapted(WordSpec(2, 0, 0))) == 1
-    counts = profile_histogram(2, 0).terms
+    counts = profile_histogram(2, 0)[0].terms
     assert counts.get((0, 0, 0), 0) == 1
     assert counts.get((1, 0, 0), 0) == 0
-    assert profile_histogram(2, 0, shift=2, budget=0).terms.get((0, 0, 0), 0) == 1
-    assert profile_histogram(2, 0, budget=0) == MultiPoly.constant(3, 1)
+    assert profile_histogram(2, 0, shift=2, budget=0)[0].terms.get((0, 0, 0), 0) == 1
+    assert profile_histogram(2, 0, budget=0) == [MultiPoly.constant(3, 1)]
 
 
 def test_order_zero_arguments_are_validated():
@@ -178,28 +178,25 @@ def test_leg_profile_rejects_non_adapted():
 
 
 def test_profile_histogram_and_counts():
-    counts = profile_histogram(2, 2).terms
+    counts = profile_histogram(2, 2)[2].terms
     assert counts == {(0, 2, 2): 1, (1, 1, 2): 1, (1, 2, 1): 1}
     assert counts.get((1, 1, 2), 0) == 1
     assert counts.get((2, 1, 1), 0) == 0
     # base word, p = 1, k = 3: profile (1, 2) appears N(3, (2, 2)) = 3 times
-    count = profile_histogram(1, 3).terms.get((1, 2), 0)
+    count = profile_histogram(1, 3)[3].terms.get((1, 2), 0)
     assert count == 3 == fuss_narayana_number(3, (2, 2))
-    count = profile_histogram(2, 3).terms.get((1, 2, 3), 0)
+    count = profile_histogram(2, 3)[3].terms.get((1, 2, 3), 0)
     assert count == 3 == fuss_narayana_number(3, (2, 2, 3))
 
 
 def test_profile_histogram_equals_brute_enumeration():
-    # the interval recurrence against a tally of every listed matching
+    # the interval recurrence against a tally of every listed matching,
+    # every order read from one call
     for p in range(1, 9):
+        k_max = 16 // (2 * p)
+        brute = listed_histograms(p, k_max, 16)
         for shift in range(p + 1):
-            assert profile_histogram(p, 0, shift).terms == {(0,) * (p + 1): 1}
-            for k in range(1, 16 // (2 * p) + 1):
-                spec = WordSpec(p, shift, k)
-                word = build_word(spec)
-                brute = Counter(leg_profile(pi, word) for pi in enumerate_adapted(spec, 16))
-                hist = profile_histogram(p, k, shift, 16)
-                assert hist == MultiPoly(p + 1, brute), (p, shift, k)
+            assert profile_histogram(p, k_max, shift, 16) == brute[shift], (p, shift)
 
 
 def test_profiles_sum_to_block_count():
@@ -213,8 +210,9 @@ def test_profiles_sum_to_block_count():
 
 def test_enumerated_moment_poly_matches_closed_form():
     for p in (1, 2, 3):
-        for k in range(0, 16 // (2 * p) + 1):
-            assert profile_histogram(p, k) == limit_moment_poly(p, k), (p, k)
+        k_max = 16 // (2 * p)
+        closed = [limit_moment_poly(p, j) for j in range(k_max + 1)]
+        assert profile_histogram(p, k_max) == closed, p
 
 
 # -- cover rotation --------------------------------------------------------------
