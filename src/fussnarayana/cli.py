@@ -215,7 +215,7 @@ def cmd_verify(args) -> int:
             reports.append(partitions.verify_shift_identity(hists))
             reports.append(partitions.verify_product_decomposition(hists))
     elif args.suite == "oracle":
-        cap = args.pk_budget if args.pk_budget is not None else max(budget, 16)
+        cap = args.pk_budget if args.pk_budget is not None else max(budget, 40)
         ps = (1, 2, 3) if args.p is None else (args.p,)
         pairs = [(p, cap // (2 * p) if args.k_max is None else args.k_max) for p in ps]
         pairs = [(p, k_max) for p, k_max in pairs if k_max >= 1]

@@ -55,6 +55,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
+from . import _packed
 from .exact import _compositions
 from .poly import MultiPoly
 from .report import Report
@@ -290,41 +291,28 @@ def profile_histogram(
     WordSpec(p, shift, k)  # validate arguments
     period, size = 2 * p, 2 * p * k
     letters = base_word(p, shift)
-    # Profiles are packed into one int, slot s as the digit of radix**s, so
-    # adding profiles is adding ints; no slot exceeds the pk blocks.
+    # Histograms are packed-key term dicts; no slot exceeds the pk blocks,
+    # so radix pk + 1 packs every profile.
     radix = p * k + 1
-    first_mate, unit = [], []
+    units = _packed.units(p + 1, radix)
+    first_mate, leg_key = [], []
     for a, letter in enumerate(letters):
         m = next(m for m in range(1, period, 2) if letters[(a + m) % period] == letter.mate())
         right = letters[(a + m) % period]
         first_mate.append(m)
-        unit.append(radix ** (right.index if right.starred else right.index - 1))
+        leg_key.append(units[right.index if right.starred else right.index - 1])
 
     table: dict[tuple[int, int], dict[int, int]] = {(a, 0): {0: 1} for a in range(period)}
     for length in range(2, size + 1, 2):
         # the whole word is the one interval of full length asked for
         for a in range(period) if length < size else (0,):
             hist: dict[int, int] = {}
-            block = unit[a]
             for m in range(first_mate[a], length, period):
-                inner = table[(a + 1) % period, m - 1]
-                outer = table[(a + m + 1) % period, length - m - 1]
-                for key_in, count_in in inner.items():
-                    key_in += block
-                    for key_out, count_out in outer.items():
-                        key = key_in + key_out
-                        hist[key] = hist.get(key, 0) + count_in * count_out
+                _packed.add_product(hist, table[(a + 1) % period, m - 1],
+                                    table[(a + m + 1) % period, length - m - 1], leg_key[a])
             table[a, length] = hist
 
-    def unpack(key: int) -> tuple[int, ...]:
-        slots = []
-        for _ in range(p + 1):
-            key, digit = divmod(key, radix)
-            slots.append(digit)
-        return tuple(slots)
-
-    return [MultiPoly._from_terms(p + 1, {unpack(key): count for key, count in counts.items()})
-            for counts in (table[0, period * j] for j in range(k + 1))]
+    return [_packed.unpack(p + 1, radix, table[0, period * j]) for j in range(k + 1)]
 
 
 # -- cover rotation ----------------------------------------------------------

@@ -163,7 +163,7 @@ class MultiPoly:
         acc: dict[tuple[int, ...], Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in rhs.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(operator.add, e1, e2))
                 acc[key] = acc.get(key, 0) + c1 * c2
         return MultiPoly._from_terms(self.num_vars, acc)
 

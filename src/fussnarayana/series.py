@@ -13,10 +13,17 @@ Two independent routes to the moment generating series live here:
   the recurrence ``g_{n+1} = [x^n] F_p`` on the partial products
   ``F_i = prod_{j<=i} (g + d_j)``, extending each ``F_i`` by one
   coefficient per order: O(p K^2) coefficient products through x^K.
+  One loop serves two rings.  With symbolic d_i the coefficients are
+  packed-key term dicts (:mod:`fussnarayana._packed`), whose step adds
+  every pair product into one dict, and are turned into ``MultiPoly``
+  once at the end; with numeric d_i they are ``Fraction``s and the step
+  is :func:`product_coefficient`.
 
 * ``lagrange_coefficient`` extracts the same coefficient via Lagrange
   inversion: the x^n coefficient of the solution equals
-  ``(1/n) [lambda^{n-1}] prod_i (lambda + d_i)^n``.
+  ``(1/n) [lambda^{n-1}] prod_i (lambda + d_i)^n``.  It runs on
+  ``MultiPoly`` and stays off the packed kernel, so it checks that
+  kernel independently.
 
 Both produce the order-k moment polynomial multiplied by d0.
 """
@@ -27,6 +34,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from . import _packed
 from .poly import MultiPoly
 
 
@@ -74,6 +82,31 @@ def truncated_compose(f: Sequence, g: Sequence, order: int, zero) -> list:
     return out + [zero] * (order + 1 - len(out))
 
 
+def _rational_step(
+    prev: Sequence[Fraction], g: Sequence[Fraction], n: int, d: Fraction
+) -> Fraction:
+    """``[x^n] (F * (g + d))`` from the stored coefficients of F = ``prev`` and g."""
+    # (g + d) has d at x^0 and g_m at x^m; g_0 = 0 drops prev[n] * g_0
+    return prev[n] * d + product_coefficient(prev, g, n, Fraction(0))
+
+
+def _packed_step(prev: Sequence[dict], g: Sequence[dict], n: int, d: int) -> dict:
+    """The same step on packed terms, where multiplying by d shifts every key by its unit."""
+    return _packed.product_coefficient(prev, g, n, {key + d: c for key, c in prev[n].items()})
+
+
+def _solve(ds: Sequence, zero, one, order: int, step) -> list:
+    """g[0..order] of g = x * prod_i (g + d_i), with ``step`` the ring's ``[x^n] (F * (g + d))``."""
+    g = [zero]
+    # partial[i + 1][n] = [x^n] F_i, filled one order at a time; partial[0] is the series 1
+    partial = [[one] + [zero] * order] + [[] for _ in ds]
+    for n in range(order):
+        for i, d in enumerate(ds):
+            partial[i + 1].append(step(partial[i], g, n, d))
+        g.append(partial[-1][n])
+    return g
+
+
 def solve_functional_equation(
     p: int, order: int, dims: Sequence | None = None
 ) -> list:
@@ -93,23 +126,19 @@ def solve_functional_equation(
     if p < 1 or order < 0:
         raise ValueError(f"need p >= 1 and order >= 0, got p={p}, order={order}")
     if dims is None:
-        ds = [MultiPoly.variable(p + 1, i) for i in range(p + 1)]
-        zero = MultiPoly(p + 1)
-    else:
-        if len(dims) != p + 1:
-            raise ValueError(f"dims must provide p+1 = {p + 1} values, got {len(dims)}")
-        ds = [Fraction(d) for d in dims]
-        zero = Fraction(0)
-    g = [zero]
-    # partial[i + 1][n] = [x^n] F_i, filled one order at a time; partial[0] is the series 1
-    partial = [[zero + 1] + [zero] * order] + [[] for _ in ds]
-    for n in range(order):
-        for i, d in enumerate(ds):
-            prev = partial[i]
-            # (g + d) has d at x^0 and g_m at x^m; g_0 = 0 drops prev[n] * g_0
-            partial[i + 1].append(prev[n] * d + product_coefficient(prev, g, n, zero))
-        g.append(partial[-1][n])
-    return g
+        # Radix order + 1 packs every monomial stored, because no exponent
+        # exceeds the order.  By induction no exponent in g_m exceeds m: a
+        # term of [x^n] F_i takes d_s at most once from its own factor and
+        # the rest from coefficients g_m whose m sum to n, so its exponents
+        # are at most 1 + n, and g_{n+1} = [x^n] F_p.  The loop stops at
+        # n = order - 1.  At p = 1, d0 * d1^order in g[order] meets the
+        # bound, so the radix is tight.
+        radix = order + 1
+        g = _solve(_packed.units(p + 1, radix), {}, {0: 1}, order, _packed_step)
+        return [_packed.unpack(p + 1, radix, terms) for terms in g]
+    if len(dims) != p + 1:
+        raise ValueError(f"dims must provide p+1 = {p + 1} values, got {len(dims)}")
+    return _solve([Fraction(d) for d in dims], Fraction(0), Fraction(1), order, _rational_step)
 
 
 def lagrange_coefficient(p: int, n: int) -> MultiPoly:

@@ -229,7 +229,8 @@ def report_names(out):
 def test_verify_oracle_single_p_sweeps_to_the_cap(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "-p", "2")
     assert code == 0
-    assert report_names(out) == ["three-route agreement p=2 k<=4"]
+    # the default cap is max(FN_BUDGET, 40), so p = 2 sweeps to 2pk = 40
+    assert report_names(out) == ["three-route agreement p=2 k<=10"]
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "-p", "2", "--pk-budget", "12")
     assert code == 0
     assert report_names(out) == ["three-route agreement p=2 k<=3"]

@@ -3,12 +3,19 @@
 No linter runs in CI, so this parses each file with ``ast`` and fails on
 a name bound by an import and never read.  ``from __future__`` imports
 are skipped.
+
+The routes that check the packed-key kernel stay off it: the closed form
+does not import it, even indirectly, and neither Lagrange inversion nor
+the brute listing names it.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from fussnarayana import partitions, series
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -41,3 +48,39 @@ def test_scanner_flags_an_unused_name():
 @pytest.mark.parametrize("path", FILES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def package_imports(name: str) -> set[str]:
+    """Package modules that ``fussnarayana.<name>`` imports by relative import."""
+    tree = ast.parse((ROOT / "src" / "fussnarayana" / f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+    return found
+
+
+def test_kernel_is_named_only_through_its_module():
+    # so a use of the kernel anywhere in a module's source reads "_packed."
+    for path in ROOT.glob("src/fussnarayana/*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                assert node.module.split(".")[-1] != "_packed", path
+
+
+def test_closed_form_does_not_reach_the_kernel():
+    seen, todo = set(), ["exact"]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(package_imports(name))
+    assert "_packed" not in seen, sorted(seen)
+    # the scanner does see the kernel where it is imported
+    assert "_packed" in package_imports("series") & package_imports("partitions")
+
+
+@pytest.mark.parametrize("function", [series.lagrange_coefficient, partitions.listed_histograms],
+                         ids=lambda function: function.__qualname__)
+def test_cross_check_routes_do_not_name_the_kernel(function):
+    assert "_packed" not in inspect.getsource(function)

@@ -1,0 +1,46 @@
+"""Tests for the packed-key polynomial kernel against MultiPoly arithmetic."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fussnarayana import _packed
+from fussnarayana.poly import MultiPoly
+from fussnarayana.series import truncated_mul
+
+NUM_VARS, RADIX = 3, 7
+
+
+def pack(poly: MultiPoly) -> dict[int, int]:
+    units = _packed.units(NUM_VARS, RADIX)
+    return {sum(e * u for e, u in zip(exps, units)): c for exps, c in poly.terms.items()}
+
+
+# exponents below 3, so a product of two stays below the radix 7
+polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * NUM_VARS), st.integers(-5, 5),
+                        max_size=4).map(lambda terms: MultiPoly(NUM_VARS, terms))
+
+
+def test_units_unpack_to_the_variables():
+    for s, unit in enumerate(_packed.units(NUM_VARS, RADIX)):
+        assert _packed.unpack(NUM_VARS, RADIX, {unit: 1}) == MultiPoly.variable(NUM_VARS, s)
+    assert _packed.unpack(NUM_VARS, RADIX, {0: 0, 1: 2}) == 2 * MultiPoly.variable(NUM_VARS, 0)
+
+
+@given(polys, polys)
+@settings(max_examples=50, deadline=None)
+def test_add_product_is_the_polynomial_product(a, b):
+    d1 = MultiPoly.variable(NUM_VARS, 1)
+    total = _packed.add_product(pack(a), pack(a), pack(b), _packed.units(NUM_VARS, RADIX)[1])
+    assert _packed.unpack(NUM_VARS, RADIX, total) == a + a * b * d1
+
+
+@given(st.lists(polys, min_size=1, max_size=3), st.lists(polys, min_size=1, max_size=3))
+@settings(max_examples=50, deadline=None)
+def test_product_coefficient_is_the_series_product(a, b):
+    # series whose coefficients are still being filled take part with those they have
+    order = len(a) + len(b) - 2
+    expected = truncated_mul(a, b, order, MultiPoly(NUM_VARS))
+    packed_a, packed_b = [pack(c) for c in a], [pack(c) for c in b]
+    for n in range(order + 1):
+        total = _packed.product_coefficient(packed_a, packed_b, n, {})
+        assert _packed.unpack(NUM_VARS, RADIX, total) == expected[n]

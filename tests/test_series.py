@@ -86,6 +86,22 @@ def test_symbolic_solver_keeps_int_coefficients():
             assert all(type(c) is int for c in g_k.terms.values())
 
 
+@pytest.mark.parametrize("p,order", [(1, 12), (2, 7), (3, 5), (4, 4)])
+def test_symbolic_solver_exponents_reach_the_order_and_no_further(p, order):
+    # the packed solver's radix order + 1 rests on this bound being tight
+    g = solve_functional_equation(p, order)
+    assert max(max(exps) for g_k in g for exps in g_k.terms) == order
+    if p == 1:
+        assert (1, order) in g[order].terms  # d0 * d1^order
+    d0 = MultiPoly.variable(p + 1, 0)
+    dims = (Fraction(1, 2), Fraction(3), Fraction(5, 7), Fraction(2), Fraction(4, 3))[: p + 1]
+    numeric = solve_functional_equation(p, order, dims=dims)
+    assert not g[0] and not numeric[0]
+    for k in range(1, order + 1):
+        assert g[k] == d0 * limit_moment_poly(p, k)
+        assert numeric[k] == g[k].evaluate(dims)
+
+
 rationals = st.fractions(min_value=Fraction(1, 7), max_value=Fraction(4), max_denominator=9)
 
 
