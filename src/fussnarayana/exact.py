@@ -124,6 +124,11 @@ def limit_moment_poly(p: int, k: int) -> MultiPoly:
     ``fuss_narayana_number(k, (j0+1, j1, ..., jp))``, supported on
     ``j0 in [0, k-1]`` and ``j_i in [1, k]`` with exponent total ``p*k``.
     Order 0 gives the constant 1.
+
+    The term order is part of the contract: ``terms`` lists j0 ascending
+    and, for each j0, the exponents ``(j1, ..., jp)`` in ascending
+    lexicographic order.  Float evaluations sum the terms in this order,
+    so a different order would move their last bits.
     """
     if p < 1 or k < 0:
         raise ValueError(f"limit_moment_poly requires p >= 1 and k >= 0, got p={p}, k={k}")
@@ -132,14 +137,36 @@ def limit_moment_poly(p: int, k: int) -> MultiPoly:
     # Every composition lies on the support of fuss_narayana_number, so the
     # coefficient is the row product of C(k, j) divided (checked) by k.
     row = [math.comb(k, j) for j in range(k + 1)]
-    terms = {}
-    for j0 in range(0, k):
-        lead = row[j0 + 1]
-        for rest in _compositions(p * k - j0, p, 1, k):
-            product = lead
-            for j in rest:
-                product *= row[j]
-            terms[(j0,) + rest] = _exact_div(product, k)
+    terms: dict[tuple[int, ...], int] = {}
+    if p == 1:
+        for j0 in range(k):
+            terms[(j0, k - j0)] = _exact_div(row[j0 + 1] * row[k - j0], k)
+        return MultiPoly._from_terms(2, terms)
+    # Depth-first over exponent prefixes, smallest next exponent popped
+    # first, so terms arrive in the documented order.  Each entry carries
+    # the running product of its prefix, and the last two exponents come
+    # as one (j, total - j) pair with the product of their binomials, so
+    # each term costs one multiplication and one checked divmod.
+    pair_tables: dict[int, list[tuple[tuple[int, int], int]]] = {}
+    stack = [((j0,), row[j0 + 1], p * k - j0, p) for j0 in reversed(range(k))]
+    while stack:
+        head, product, total, parts = stack.pop()
+        if parts > 2:
+            rest = parts - 1
+            firsts = range(min(k, total - rest), max(1, total - k * rest) - 1, -1)
+            stack.extend((head + (j,), product * row[j], total - j, rest) for j in firsts)
+            continue
+        pairs = pair_tables.get(total)
+        if pairs is None:
+            pairs = pair_tables[total] = [
+                ((j, total - j), row[j] * row[total - j])
+                for j in range(max(1, total - k), min(k, total - 1) + 1)
+            ]
+        for tail, weight in pairs:
+            quotient, remainder = divmod(product * weight, k)
+            if remainder:
+                raise ArithmeticError(f"{product * weight} is not divisible by {k}")
+            terms[head + tail] = quotient
     return MultiPoly._from_terms(p + 1, terms)
 
 

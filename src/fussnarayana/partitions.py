@@ -232,9 +232,11 @@ def enumerate_adapted(spec: WordSpec, budget: int = DEFAULT_BUDGET) -> Iterator[
     """Noncrossing matchings adapted to the word of ``spec``, in canonical order."""
     _check_budget(spec.p, spec.k, budget)
     word = build_word(spec)
+    index = [letter.index for letter in word]
+    starred = [letter.starred for letter in word]
 
     def compatible(a: int, b: int) -> bool:
-        return word[a] == word[b].mate()
+        return index[a] == index[b] and starred[a] != starred[b]
 
     return noncrossing_matchings(len(word), compatible)
 
@@ -255,11 +257,9 @@ def leg_profile(pi: PairPartition, word: Sequence[Letter]) -> tuple[int, ...]:
     for i, j in enumerate(pi.match):
         if j < i:
             continue
-        if word[i] != word[j].mate():
-            raise ValueError(
-                f"block ({i + 1},{j + 1}) joins {word[i]} with {word[j]}; not adapted"
-            )
-        right = word[j]
+        left, right = word[i], word[j]
+        if left.index != right.index or left.starred == right.starred:
+            raise ValueError(f"block ({i + 1},{j + 1}) joins {left} with {right}; not adapted")
         profile[right.index if right.starred else right.index - 1] += 1
     return tuple(profile)
 

@@ -195,15 +195,19 @@ class MultiPoly:
     def evaluate(self, values: Sequence) -> "Fraction | float":
         """Evaluate at a point.  Exact for int/Fraction inputs, float otherwise.
 
-        When every coordinate is an int or a Fraction, the denominators are
-        cleared first: with ``D_i`` the top exponent of variable i, the term
-        sum is taken over Python ints from the tables
-        ``num_i**j * den_i**(D_i - j)`` and the coefficients scaled by the
-        lcm of their denominators, and one Fraction is built at the end.
-        Any other coordinate (a float, say) takes the term-by-term loop,
-        whose operation order is unchanged.  Its sum starts from
-        ``Fraction(0)``, so int coefficients give the value and the type
-        that the same coefficients as Fractions give.
+        When every coordinate is an int or a Fraction, the sum runs over
+        Python ints and one Fraction is built at the end.  With ``D_i`` the
+        top exponent of variable i, coordinate ``num_i/den_i`` enters
+        through the table ``num_i**j * den_i**(D_i - j)``.  Int
+        coefficients are used as they are; otherwise all are scaled by
+        the lcm of their denominators.  Terms are grouped by their
+        exponents in all but the last variable: each term adds one
+        product, coefficient times last-variable table entry, to its
+        group, and each group is then multiplied by its other table
+        entries once.  Any other coordinate (a float, say) takes the
+        term-by-term loop, whose operation order is unchanged.  Its sum
+        starts from ``Fraction(0)``, so int coefficients give the value
+        and the type that the same coefficients as Fractions give.
         """
         if len(values) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} values, got {len(values)}")
@@ -221,19 +225,30 @@ class MultiPoly:
         return total
 
     def _evaluate_exact(self, values: Sequence) -> Fraction:
-        scale = math.lcm(*(c.denominator for c in self.terms.values()))
+        coeffs = self.terms
+        scale = 1
+        if set(map(type, coeffs.values())) != {int}:
+            scale = math.lcm(*(c.denominator for c in coeffs.values()))
+            coeffs = {e: c.numerator * (scale // c.denominator) for e, c in coeffs.items()}
+        if not self.num_vars:
+            return Fraction(coeffs[()], scale)
         denominator = scale
         tables = []
-        for v, top in zip(values, map(max, zip(*self.terms))):
+        for v, top in zip(values, map(max, zip(*coeffs))):
             num, den = v.numerator, v.denominator
             tables.append([num**j * den ** (top - j) for j in range(top + 1)])
             denominator *= den**top
+        *head_tables, last = tables
+        groups: dict[tuple[int, ...], int] = {}
+        get = groups.get
+        for exps, coeff in coeffs.items():
+            head = exps[:-1]
+            groups[head] = get(head, 0) + coeff * last[exps[-1]]
         total = 0
-        for exps, coeff in self.terms.items():
-            term = coeff.numerator * (scale // coeff.denominator)
-            for table, e in zip(tables, exps):
-                term *= table[e]
-            total += term
+        for head, partial in groups.items():
+            for table, e in zip(head_tables, head):
+                partial *= table[e]
+            total += partial
         return Fraction(total, denominator)
 
     def substitute(self, index: int, value: Scalar) -> "MultiPoly":

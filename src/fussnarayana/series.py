@@ -16,8 +16,11 @@ Two independent routes to the moment generating series live here:
   One loop serves two rings.  With symbolic d_i the coefficients are
   packed-key term dicts (:mod:`fussnarayana._packed`), whose step adds
   every pair product into one dict, and are turned into ``MultiPoly``
-  once at the end; with numeric d_i they are ``Fraction``s and the step
-  is :func:`product_coefficient`.
+  once at the end.  With rational d_i the loop runs on Python ints: g_n
+  is homogeneous of degree pn + 1 in the d_i, so the solver scales the
+  d_i by the lcm q of their denominators, solves over the integers with
+  :func:`product_coefficient` as the step, and divides g_n by q^{pn+1}
+  once, in one ``Fraction`` per order.
 
 * ``lagrange_coefficient`` extracts the same coefficient via Lagrange
   inversion: the x^n coefficient of the solution equals
@@ -82,12 +85,10 @@ def truncated_compose(f: Sequence, g: Sequence, order: int, zero) -> list:
     return out + [zero] * (order + 1 - len(out))
 
 
-def _rational_step(
-    prev: Sequence[Fraction], g: Sequence[Fraction], n: int, d: Fraction
-) -> Fraction:
+def _int_step(prev: Sequence[int], g: Sequence[int], n: int, d: int) -> int:
     """``[x^n] (F * (g + d))`` from the stored coefficients of F = ``prev`` and g."""
     # (g + d) has d at x^0 and g_m at x^m; g_0 = 0 drops prev[n] * g_0
-    return prev[n] * d + product_coefficient(prev, g, n, Fraction(0))
+    return prev[n] * d + product_coefficient(prev, g, n, 0)
 
 
 def _packed_step(prev: Sequence[dict], g: Sequence[dict], n: int, d: int) -> dict:
@@ -115,9 +116,9 @@ def solve_functional_equation(
     Returns the coefficient list ``g[0..order]``.  With ``dims`` omitted
     the d_i are symbolic and ``g[k]`` is the order-k limit moment
     polynomial times d0, in ``p+1`` variables.  With ``dims`` given (p+1
-    exact rationals) the same recurrence runs on rational coefficients,
-    which is much faster for numeric work, and the ``g[k]`` are
-    ``Fraction``s.
+    exact rationals) the same recurrence runs on the integer dims
+    ``q * d_i``, q the lcm of their denominators, and ``g[k]`` is the
+    integer result divided by ``q**(p*k + 1)``, a ``Fraction``.
 
     Each coefficient of g and of the partial products
     ``F_i = prod_{j<=i} (g + d_j)`` is computed once, in increasing order:
@@ -138,7 +139,15 @@ def solve_functional_equation(
         return [_packed.unpack(p + 1, radix, terms) for terms in g]
     if len(dims) != p + 1:
         raise ValueError(f"dims must provide p+1 = {p + 1} values, got {len(dims)}")
-    return _solve([Fraction(d) for d in dims], Fraction(0), Fraction(1), order, _rational_step)
+    # Homogeneity: if g(x) solves the equation at d, then h(x) = q g(q^p x)
+    # solves it at q d, since x prod_i (h + q d_i) = q^{p+1} x prod_i
+    # (g(q^p x) + d_i) = q g(q^p x), the last step being the equation at
+    # q^p x.  So G_n = g_n(q d) = q^{pn+1} g_n(d), and with q the lcm of
+    # the denominators the loop sees only ints.
+    ds = [Fraction(d) for d in dims]
+    q = math.lcm(*(d.denominator for d in ds))
+    big = _solve([d.numerator * (q // d.denominator) for d in ds], 0, 1, order, _int_step)
+    return [Fraction(coefficient, q ** (p * n + 1)) for n, coefficient in enumerate(big)]
 
 
 def lagrange_coefficient(p: int, n: int) -> MultiPoly:

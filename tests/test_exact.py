@@ -148,6 +148,19 @@ def test_limit_moment_poly_is_homogeneous(p, k):
     assert all(coeff > 0 and coeff.denominator == 1 for coeff in poly.terms.values())
 
 
+@pytest.mark.parametrize("p,k", [(1, 20), (2, 12), (3, 9), (4, 6), (5, 5), (6, 4)])
+def test_limit_moment_poly_term_order_is_j0_major_then_lexicographic(p, k):
+    # Float evaluations sum the terms in insertion order, so it is pinned:
+    # j0 ascending, then (j1, ..., jp) in lexicographic order, as the loop
+    # over j0 and the compositions of p*k - j0 into [1, k] produced them.
+    expected = []
+    for j0 in range(k):
+        for rest in itertools.product(range(1, k + 1), repeat=p):
+            if sum(rest) == p * k - j0:
+                expected.append(((j0,) + rest, fuss_narayana_number(k, (j0 + 1,) + rest)))
+    assert list(limit_moment_poly(p, k).terms.items()) == expected
+
+
 @pytest.mark.parametrize("p,k", [(1, 20), (2, 10), (3, 8), (2, 30), (3, 30), (4, 14)])
 def test_moment_polynomials_keep_int_coefficients(p, k):
     # the benchmark's symbolic and moments orders

@@ -119,6 +119,22 @@ def test_series_and_closed_form_agree_at_benchmark_orders(shapes, order):
     )
 
 
+@pytest.mark.parametrize(
+    "shapes, order",
+    [
+        ((Fraction(1, 4), Fraction(9, 7)), 20),
+        ((Fraction(3, 2), Fraction(5, 3), Fraction(7, 5)), 12),
+        ((Fraction(2, 9), Fraction(11, 6), Fraction(4), Fraction(13, 10)), 8),
+    ],
+)
+def test_series_and_closed_form_agree_with_unequal_denominators(shapes, order):
+    # the series route solves on the integer dims q * (1, t_1, ..., t_p)
+    assert (
+        moments_by_series(shapes, order).values
+        == moments_by_closed_form(shapes, order).values
+    )
+
+
 @pytest.mark.parametrize("p, k", [(1, 9), (2, 7), (3, 5), (4, 4)])
 def test_fuss_narayana_poly_sets_the_leading_ratio_to_one(p, k):
     # reference substitution of d0 = 1, term by term, without MultiPoly.substitute

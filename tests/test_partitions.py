@@ -177,6 +177,22 @@ def test_leg_profile_rejects_non_adapted():
         leg_profile(nested, word[:2])
 
 
+def test_not_adapted_message_names_the_block_and_its_letters():
+    word = build_word(WordSpec(2, 0, 1))  # 1 2 2* 1*
+    with pytest.raises(ValueError, match=r"^block \(1,2\) joins 1 with 2; not adapted$"):
+        leg_profile(PairPartition.from_blocks([(1, 2), (3, 4)]), word)
+    # same index, same star: 2* 2* is not a letter and its mate
+    with pytest.raises(ValueError, match=r"^block \(1,2\) joins 2\* with 2\*; not adapted$"):
+        leg_profile(PairPartition.from_blocks([(1, 2)]), word[2:3] * 2)
+
+
+def test_listed_matchings_are_validated_pair_partitions():
+    spec = WordSpec(2, 1, 3)
+    for pi in enumerate_adapted(spec):
+        assert type(pi) is PairPartition
+        assert PairPartition(pi.match) == pi
+
+
 def test_profile_histogram_and_counts():
     counts = profile_histogram(2, 2)[2].terms
     assert counts == {(0, 2, 2): 1, (1, 1, 2): 1, (1, 2, 1): 1}

@@ -143,12 +143,28 @@ def test_evaluation_is_a_homomorphism(a, b, pt):
     assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
 
 
-@given(polys, exact_points)
-@settings(max_examples=100)
+mixed_polys = st.dictionaries(exponents, int_or_fraction, max_size=8).map(
+    lambda terms: MultiPoly(NUM_VARS, terms)
+)
+
+
+@given(st.one_of(polys, int_polys, mixed_polys), exact_points)
+@settings(max_examples=200)
 def test_exact_evaluate_matches_fraction_reference(a, pt):
     value = a.evaluate(pt)
     assert type(value) is Fraction
     assert value == fraction_reference(a, pt)
+
+
+def test_exact_evaluate_when_terms_cancel_within_a_group():
+    # at y = 1, 3 x y and -3 x y^2 fall in the group of x^1 and cancel
+    p = MultiPoly(2, {(1, 1): 3, (1, 2): -3, (2, 0): 1})
+    assert p.evaluate((Fraction(2, 5), 1)) == Fraction(4, 25)
+    # every group cancels: x (y - 1) + x^2 (y - 1) at y = 1
+    q = MultiPoly(2, {(1, 1): 1, (1, 0): -1, (2, 1): Fraction(1, 2), (2, 0): Fraction(-1, 2)})
+    value = q.evaluate((Fraction(7, 3), 1))
+    assert type(value) is Fraction and value == 0
+    assert value == fraction_reference(q, (Fraction(7, 3), 1))
 
 
 @given(polys, mixed_points)
@@ -165,6 +181,15 @@ def test_evaluate_edge_cases():
     assert zero.evaluate((Fraction(1, 3), 0, -2)) == 0
     assert type(zero.evaluate((0.5, 1.0, 2.0))) is Fraction
     assert MultiPoly.constant(0, Fraction(-5, 6)).evaluate(()) == Fraction(-5, 6)
+    # no variable, or one, whose terms all share the empty group
+    for poly, pt in [
+        (MultiPoly.constant(0, 7), ()),
+        (MultiPoly(1, {(0,): 2, (3,): -1, (5,): 4}), (Fraction(-2, 3),)),
+        (MultiPoly(1, {(1,): Fraction(1, 3), (2,): 5}), (Fraction(3, 7),)),
+        (MultiPoly(1, {(2,): 3}), (0,)),
+    ]:
+        value = poly.evaluate(pt)
+        assert type(value) is Fraction and value == fraction_reference(poly, pt)
     p = MultiPoly(NUM_VARS, {(3, 0, 1): Fraction(1, 6), (0, 2, 0): Fraction(-3, 4), (0, 0, 0): 2})
     pt = (Fraction(-2, 3), 0, Fraction(5, 2))
     assert p.evaluate(pt) == fraction_reference(p, pt)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fussnarayana.exact import limit_moment_poly
@@ -113,6 +113,41 @@ def test_numeric_mode_matches_symbolic_evaluation(p, order, data):
     symbolic = solve_functional_equation(p, order)
     for k in range(order + 1):
         assert numeric[k] == symbolic[k].evaluate(dims)
+
+
+def fraction_recurrence(dims, order):
+    """g[0..order] of g = x * prod_i (g + d_i) by the plain Fraction recurrence.
+
+    g_{n+1} is the x^n coefficient of the product, expanded in full from
+    g_0..g_n at every order.
+    """
+    g = [Fraction(0)]
+    for n in range(order):
+        product = [Fraction(1)] + [Fraction(0)] * n
+        for d in dims:
+            factor = [Fraction(d)] + g[1:]
+            product = [sum(product[i] * factor[m - i] for i in range(m + 1)) for m in range(n + 1)]
+        g.append(product[n])
+    return g
+
+
+signed_dims = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=9), min_size=2, max_size=5
+)
+
+
+@given(signed_dims, st.integers(0, 12))
+@example(dims=[Fraction(-2, 3), 0, Fraction(5, 4), 7], order=12)
+@example(dims=[1, -2, 3], order=12)
+@example(dims=[Fraction(1, 6), Fraction(-1, 10), Fraction(3, 14), Fraction(9, 4)], order=12)
+@settings(max_examples=60, deadline=None)
+def test_rational_solve_matches_the_fraction_recurrence(dims, order):
+    # mixed denominators, zero and negative dims, p = len(dims) - 1 from 1
+    # to 4: the integer solve is rescaled by q^(pn+1), q the lcm of the
+    # denominators
+    g = solve_functional_equation(len(dims) - 1, order, dims=dims)
+    assert all(type(c) is Fraction for c in g)
+    assert g == fraction_recurrence(dims, order)
 
 
 def test_lagrange_against_direct_expansion():
