@@ -125,10 +125,8 @@ def limit_moment_poly(p: int, k: int) -> MultiPoly:
     ``j0 in [0, k-1]`` and ``j_i in [1, k]`` with exponent total ``p*k``.
     Order 0 gives the constant 1.
 
-    The term order is part of the contract: ``terms`` lists j0 ascending
-    and, for each j0, the exponents ``(j1, ..., jp)`` in ascending
-    lexicographic order.  Float evaluations sum the terms in this order,
-    so a different order would move their last bits.
+    The term order is fixed: ``terms`` lists j0 ascending and, for each
+    j0, the exponents ``(j1, ..., jp)`` in ascending lexicographic order.
     """
     if p < 1 or k < 0:
         raise ValueError(f"limit_moment_poly requires p >= 1 and k >= 0, got p={p}, k={k}")

@@ -134,9 +134,7 @@ def moments_by_closed_form(shapes: Sequence, order: int) -> MomentTable:
     ts = _as_shapes(shapes)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    values = tuple(
-        Fraction(fuss_narayana_poly(len(ts), k).evaluate(ts)) for k in range(1, order + 1)
-    )
+    values = tuple(fuss_narayana_poly(len(ts), k).evaluate(ts) for k in range(1, order + 1))
     return MomentTable(shapes=ts, values=values)
 
 

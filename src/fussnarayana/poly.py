@@ -1,17 +1,15 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Sparse multivariate polynomials with integer coefficients.
 
 A polynomial in ``n`` variables is stored as a mapping from exponent
-vectors (length-``n`` tuples of nonnegative ints) to nonzero rational
-coefficients.  The constructor stores a coefficient as a Python ``int``
-when it is integral and as a :class:`~fractions.Fraction` only where a
-denominator exists, so integral polynomials (every moment polynomial,
-every matching count) run on int arithmetic.  Operations keep the types
-they are given: ints combine to ints, and a result touched by a Fraction
-stays a Fraction even when integral.  Equal ``int`` and ``Fraction``
-coefficients compare and hash alike, so the type never changes equality
-or output.  The zero polynomial keeps no terms.  Arithmetic never leaves
-the rationals; floats only appear if the caller evaluates at float
-arguments.
+vectors (length-``n`` tuples of nonnegative ints) to nonzero Python
+``int`` coefficients: the polynomial ring over the integers.  Every
+polynomial the package builds lies in it, since a coefficient of a
+moment polynomial is a Fuss-Narayana number and a coefficient of a
+profile histogram is a count.  The constructor reads coefficients, as
+it reads exponents, with :func:`operator.index`, so a ``Fraction`` or a
+float coefficient raises.  The zero polynomial keeps no terms.
+Arithmetic never leaves the integers, and evaluation is exact: at int,
+``Fraction`` and float points alike it returns a ``Fraction``.
 
 Serialization uses a canonical term order, descending lexicographic on
 the exponent vector, so equal polynomials always render identically.
@@ -19,53 +17,29 @@ the exponent vector, so equal polynomials always render identically.
 
 from __future__ import annotations
 
-import math
-import numbers
 import operator
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
-
-Scalar = Union[int, Fraction]
-
-
-def format_exact(value: Scalar) -> str:
-    """Render a rational as ``'n'`` when integral, ``'num/den'`` otherwise."""
-    if type(value) is int:
-        return str(value)
-    q = Fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _as_rational(value, exps) -> Scalar:
-    """An int when ``value`` is integral, else a Fraction; other types are rejected."""
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if isinstance(value, numbers.Rational):
-        q = Fraction(value)
-        return q.numerator if q.denominator == 1 else q
-    raise ValueError(f"non-rational coefficient {value!r} at {exps}")
+from typing import Mapping, Sequence
 
 
 class MultiPoly:
-    """Immutable sparse polynomial over the rationals.
+    """Immutable sparse polynomial over the integers.
 
     Instances should be treated as frozen: all operations return new
     polynomials.  Two polynomials compare equal iff they have the same
     number of variables and equal term maps.  The constructor checks
     and normalizes its input (exponents to int tuples, coefficients to
-    int or Fraction; only ``numbers.Rational`` coefficients are
-    accepted).  Results of the ring operations are built from terms
-    this module already made clean, so they skip those checks.
+    int; anything ``operator.index`` rejects raises ``ValueError``).
+    Results of the ring operations are built from terms this module
+    already made clean, so they skip those checks.
     """
 
     __slots__ = ("num_vars", "terms")
 
-    def __init__(self, num_vars: int, terms: Mapping[Sequence[int], Scalar] | None = None):
+    def __init__(self, num_vars: int, terms: Mapping[Sequence[int], int] | None = None):
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        clean: dict[tuple[int, ...], Scalar] = {}
+        clean: dict[tuple[int, ...], int] = {}
         for exps, coeff in (terms or {}).items():
             try:
                 key = tuple(map(operator.index, exps))
@@ -75,8 +49,10 @@ class MultiPoly:
                 raise ValueError(f"exponent vector {key} does not have {num_vars} entries")
             if key and min(key) < 0:
                 raise ValueError(f"negative exponent in {key}")
-            if type(coeff) is not int:
-                coeff = _as_rational(coeff, key)
+            try:
+                coeff = operator.index(coeff)
+            except TypeError:
+                raise ValueError(f"non-integral coefficient {coeff!r} at {key}") from None
             if coeff:
                 clean[key] = coeff
         self.num_vars = num_vars
@@ -84,7 +60,7 @@ class MultiPoly:
 
     @classmethod
     def _from_terms(cls, num_vars: int, terms: dict) -> "MultiPoly":
-        """Wrap terms with clean keys and int/Fraction values, dropping zeros."""
+        """Wrap terms with clean keys and int values, dropping zeros."""
         poly = object.__new__(cls)
         poly.num_vars = num_vars
         poly.terms = {e: c for e, c in terms.items() if c}
@@ -93,7 +69,7 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, num_vars: int, value: Scalar) -> "MultiPoly":
+    def constant(cls, num_vars: int, value: int) -> "MultiPoly":
         return cls(num_vars, {(0,) * num_vars: value})
 
     @classmethod
@@ -110,7 +86,7 @@ class MultiPoly:
         """False exactly for the zero polynomial, as for numbers."""
         return bool(self.terms)
 
-    def canonical_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
+    def canonical_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in descending lexicographic order of exponent vector."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
@@ -123,7 +99,7 @@ class MultiPoly:
                     f"operands have {self.num_vars} and {other.num_vars} variables"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return MultiPoly.constant(self.num_vars, other)
         return None
 
@@ -154,13 +130,13 @@ class MultiPoly:
         return rhs + (-self)
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             scaled = {e: c * other for e, c in self.terms.items()}
             return MultiPoly._from_terms(self.num_vars, scaled)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc: dict[tuple[int, ...], Scalar] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in rhs.terms.items():
                 key = tuple(map(operator.add, e1, e2))
@@ -192,56 +168,37 @@ class MultiPoly:
 
     # -- substitution and evaluation -----------------------------------------
 
-    def evaluate(self, values: Sequence) -> "Fraction | float":
-        """Evaluate at a point.  Exact for int/Fraction inputs, float otherwise.
+    def evaluate(self, values: Sequence) -> Fraction:
+        """The exact value at a point, as a ``Fraction``.
 
-        When every coordinate is an int or a Fraction, the sum runs over
-        Python ints and one Fraction is built at the end.  With ``D_i`` the
-        top exponent of variable i, coordinate ``num_i/den_i`` enters
-        through the table ``num_i**j * den_i**(D_i - j)``.  Int
-        coefficients are used as they are; otherwise all are scaled by
-        the lcm of their denominators.  Terms are grouped by their
+        Each coordinate is read as ``Fraction(v)``, which is exact for
+        ints, Fractions and finite floats, so at a float point the result
+        is the polynomial's exact value there and ``float()`` of it is
+        correctly rounded.  The sum runs over Python ints and one Fraction
+        is built at the end.  With ``D_i`` the top exponent of variable i,
+        coordinate ``num_i/den_i`` enters through the table
+        ``num_i**j * den_i**(D_i - j)``.  Terms are grouped by their
         exponents in all but the last variable: each term adds one
         product, coefficient times last-variable table entry, to its
         group, and each group is then multiplied by its other table
-        entries once.  Any other coordinate (a float, say) takes the
-        term-by-term loop, whose operation order is unchanged.  Its sum
-        starts from ``Fraction(0)``, so int coefficients give the value
-        and the type that the same coefficients as Fractions give.
+        entries once.
         """
         if len(values) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} values, got {len(values)}")
         if not self.terms:
             return Fraction(0)
-        if all(isinstance(v, (int, Fraction)) for v in values):
-            return self._evaluate_exact(values)
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, exps):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
-
-    def _evaluate_exact(self, values: Sequence) -> Fraction:
-        coeffs = self.terms
-        scale = 1
-        if set(map(type, coeffs.values())) != {int}:
-            scale = math.lcm(*(c.denominator for c in coeffs.values()))
-            coeffs = {e: c.numerator * (scale // c.denominator) for e, c in coeffs.items()}
         if not self.num_vars:
-            return Fraction(coeffs[()], scale)
-        denominator = scale
+            return Fraction(self.terms[()])
+        denominator = 1
         tables = []
-        for v, top in zip(values, map(max, zip(*coeffs))):
+        for v, top in zip(map(Fraction, values), map(max, zip(*self.terms))):
             num, den = v.numerator, v.denominator
             tables.append([num**j * den ** (top - j) for j in range(top + 1)])
             denominator *= den**top
         *head_tables, last = tables
         groups: dict[tuple[int, ...], int] = {}
         get = groups.get
-        for exps, coeff in coeffs.items():
+        for exps, coeff in self.terms.items():
             head = exps[:-1]
             groups[head] = get(head, 0) + coeff * last[exps[-1]]
         total = 0
@@ -251,17 +208,17 @@ class MultiPoly:
             total += partial
         return Fraction(total, denominator)
 
-    def substitute(self, index: int, value: Scalar) -> "MultiPoly":
-        """Replace one variable by an exact scalar; the result drops that slot.
+    def substitute(self, index: int, value: int) -> "MultiPoly":
+        """Replace one variable by an integer; the result drops that slot.
 
         Each power of the value that occurs is computed once, and
         substituting 1 multiplies nothing.
         """
         if not 0 <= index < self.num_vars:
             raise ValueError(f"variable index {index} out of range")
-        q = value if type(value) is int else Fraction(value)
-        powers = None if q == 1 else {e: q**e for e in {exps[index] for exps in self.terms}}
-        acc: dict[tuple[int, ...], Scalar] = {}
+        value = operator.index(value)
+        powers = None if value == 1 else {e: value**e for e in {exps[index] for exps in self.terms}}
+        acc: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms.items():
             key = exps[:index] + exps[index + 1 :]
             term = coeff if powers is None else coeff * powers[exps[index]]
@@ -282,13 +239,6 @@ class MultiPoly:
 
     # -- rendering -----------------------------------------------------------
 
-    def assert_integer_coefficients(self) -> "MultiPoly":
-        """Return self, or raise if any coefficient has a denominator."""
-        for exps, coeff in self.terms.items():
-            if coeff.denominator != 1:
-                raise ArithmeticError(f"non-integer coefficient {coeff} at {exps}")
-        return self
-
     def to_json_dict(self, var_names: Sequence[str]) -> dict:
         """Canonical JSON form: variable names plus descending-lex term list."""
         if len(var_names) != self.num_vars:
@@ -296,7 +246,7 @@ class MultiPoly:
         return {
             "vars": list(var_names),
             "terms": [
-                {"exponents": list(exps), "coeff": format_exact(coeff)}
+                {"exponents": list(exps), "coeff": str(coeff)}
                 for exps, coeff in self.canonical_terms()
             ],
         }
@@ -309,7 +259,7 @@ class MultiPoly:
         for exps, coeff in self.canonical_terms():
             factors = []
             if coeff != 1 or not any(exps):
-                factors.append(format_exact(coeff))
+                factors.append(str(coeff))
             for name, e in zip(names, exps):
                 if e == 1:
                     factors.append(name)

@@ -155,8 +155,9 @@ def lagrange_coefficient(p: int, n: int) -> MultiPoly:
 
     Computes (1/n) times the lambda^(n-1) coefficient of
     ``prod_{i=0..p} (lambda + d_i)^n``, working with a univariate
-    polynomial in lambda truncated above degree n-1.  The division by n
-    must be exact; a failure raises rather than returning a rational.
+    polynomial in lambda truncated above degree n-1.  Each coefficient
+    is divided by n with a checked ``divmod``; a remainder raises
+    ``ArithmeticError`` rather than returning a rational.
     """
     if p < 1 or n < 1:
         raise ValueError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
@@ -169,4 +170,10 @@ def lagrange_coefficient(p: int, n: int) -> MultiPoly:
         # (lambda + d_i)^n truncated above lambda^(n-1)
         factor = [MultiPoly.constant(num_vars, math.comb(n, m)) * d_i ** (n - m) for m in range(n)]
         acc = truncated_mul(acc, factor, n - 1, zero)
-    return (acc[n - 1] * Fraction(1, n)).assert_integer_coefficients()
+    quotients = {}
+    for exps, coeff in acc[n - 1].terms.items():
+        quotient, remainder = divmod(coeff, n)
+        if remainder:
+            raise ArithmeticError(f"coefficient {coeff} at {exps} is not divisible by {n}")
+        quotients[exps] = quotient
+    return MultiPoly._from_terms(num_vars, quotients)

@@ -150,9 +150,9 @@ def test_limit_moment_poly_is_homogeneous(p, k):
 
 @pytest.mark.parametrize("p,k", [(1, 20), (2, 12), (3, 9), (4, 6), (5, 5), (6, 4)])
 def test_limit_moment_poly_term_order_is_j0_major_then_lexicographic(p, k):
-    # Float evaluations sum the terms in insertion order, so it is pinned:
-    # j0 ascending, then (j1, ..., jp) in lexicographic order, as the loop
-    # over j0 and the compositions of p*k - j0 into [1, k] produced them.
+    # The insertion order is pinned: j0 ascending, then (j1, ..., jp) in
+    # lexicographic order, as the loop over j0 and the compositions of
+    # p*k - j0 into [1, k] produced them.
     expected = []
     for j0 in range(k):
         for rest in itertools.product(range(1, k + 1), repeat=p):

@@ -6,10 +6,12 @@ the full-size gate lives in the acceptance suite.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fussnarayana.exact import limit_moment_poly
 from fussnarayana.rmt import (
     DimensionProfile,
     McConfig,
@@ -264,6 +266,19 @@ def test_targets_are_the_moment_polynomials():
     assert result.moments[0].target == pytest.approx(0.75)
     assert result.moments[1].target == pytest.approx(2.0625)
     assert result.moments[2].target == pytest.approx(7.359375)
+
+
+
+def test_targets_are_correctly_rounded_at_non_dyadic_ratios():
+    # 0.1 is not a binary fraction: a float sum of the terms rounds each
+    # partial sum, while the target is the exact value rounded once
+    d = (1.0, 0.1)
+    result = run_experiment(McConfig(
+        profile=DimensionProfile.from_targets(d, 10), k_max=5, trials=2, seed=1,
+    ))
+    for stat in result.moments:
+        exact = limit_moment_poly(1, stat.k).evaluate([Fraction(x) for x in d])
+        assert stat.target == float(exact), stat.k
 
 
 def test_complex_ensemble_is_near_target_at_moderate_size():
