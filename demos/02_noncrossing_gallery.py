@@ -2,9 +2,10 @@
 """Walk through the noncrossing side: words, matchings, profiles, rotation.
 
 Enumerates the pair partitions adapted to a few small words, prints each
-one with its leg profile, demonstrates that rotating the cover block
-carries matchings for a shifted word onto matchings for the base word,
-and renders every matching to an SVG file in demos/gallery/.
+one with its leg profile, demonstrates that turning the positions one
+step left around a circle (the cover rotation) carries matchings for the
+shift-1 word onto matchings for the base word, and renders every
+matching to an SVG file in demos/gallery/.
 """
 
 from pathlib import Path

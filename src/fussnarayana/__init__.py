@@ -2,10 +2,11 @@
 
 Layers, from the inside out:
 
-* :mod:`~fussnarayana.poly` and :mod:`~fussnarayana.series`: exact
-  polynomial and truncated-series arithmetic over the rationals.  A
-  private kernel, ``_packed``, stores monomials as one int each for the
-  series solver and the interval counter.
+* :mod:`~fussnarayana.poly` and :mod:`~fussnarayana.series`: the
+  polynomial ring over the integers and truncated-series arithmetic,
+  whose solves run on Python ints.  A private kernel, ``_packed``,
+  stores monomials as one int each for the series solver and the
+  interval counter.
 * :mod:`~fussnarayana.exact`: closed-form Fuss-Catalan and
   Fuss-Narayana counts and the limit moment polynomials.
 * :mod:`~fussnarayana.partitions`: noncrossing pair matchings adapted

@@ -346,7 +346,8 @@ def main(argv=None) -> int:
         return 0 if code in (0, None) else int(code)
     try:
         return args.func(args)
-    except (partitions.BudgetError, freeprob.QuadratureError, ValueError, ArithmeticError) as exc:
+    except (partitions.BudgetError, freeprob.QuadratureError, ValueError, ArithmeticError,
+            OSError) as exc:
         hint = ""
         if isinstance(exc, partitions.BudgetError):
             hint = "; the environment variable FN_BUDGET sets it"

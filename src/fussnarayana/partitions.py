@@ -41,12 +41,13 @@ are the recurrence the counter relies on, so each word is listed once
 for both.  Both ways refuse words longer than the budget
 (``BudgetError``).
 
-Cover rotation.  ``rotate_cover`` is the bijection on noncrossing pair
-matchings that removes the block opened at the first position, slides
-everything one step left, and re-closes that block around what used to
-be outside it, i.e. a block {1, m} becomes {m-1, 2pk}.  Applied i times
-it carries matchings adapted to the shift-i word onto matchings adapted
-to the shift-0 word and moves one unit of profile from slot 0 to slot i.
+Cover rotation.  ``rotate_cover`` turns the 2pk positions one step left
+around a circle, so a block {1, m} becomes {m-1, 2pk} and every other
+block slides one step left; ``rotate_cover_inverse`` turns them back.
+Rotation keeps blocks noncrossing, so it is a bijection on noncrossing
+pair matchings.  The shift-i word is the base word turned i steps right,
+so i left turns carry its adapted matchings onto the base word's, and
+move one unit of profile from slot 0 to slot i.
 """
 
 from __future__ import annotations
@@ -318,49 +319,28 @@ def profile_histogram(
 # -- cover rotation ----------------------------------------------------------
 
 
-def rotate_cover(pi: PairPartition) -> PairPartition:
-    """Rotate the distinguished first block to cover the tail.
-
-    The block {1, m} (1-based) is removed, positions 2..2n slide left by
-    one, and the freed block re-enters as {m-1, 2n}.  Everything that was
-    inside the old block stays to the left of m-1; everything that was
-    outside it is now covered.  Bijective on noncrossing pair matchings;
-    the inverse is :func:`rotate_cover_inverse`.
-    """
+def _rotate(pi: PairPartition, step: int) -> PairPartition:
+    """Turn the n positions ``step`` places left: {a, b} becomes {a - step, b - step} mod n."""
     n = pi.size
     if n == 0:
         raise ValueError("cannot rotate the empty matching")
-    m = pi.match[0]
-    new = [-1] * n
-    new[m - 1] = n - 1
-    new[n - 1] = m - 1
-    for a in range(1, n):
-        if a == m:
-            continue
-        b = pi.match[a]
-        if a < b:
-            new[a - 1] = b - 1
-            new[b - 1] = a - 1
-    return PairPartition(new)
+    return PairPartition([(pi.match[(i + step) % n] - step) % n for i in range(n)])
+
+
+def rotate_cover(pi: PairPartition) -> PairPartition:
+    """Rotate the distinguished first block to cover the tail.
+
+    One left turn of the circle of positions: the block {1, m} (1-based)
+    becomes {m-1, 2n} and every other block slides one step left, so what
+    was outside the old block is now covered.  Bijective on noncrossing
+    pair matchings; the inverse is :func:`rotate_cover_inverse`.
+    """
+    return _rotate(pi, 1)
 
 
 def rotate_cover_inverse(pi: PairPartition) -> PairPartition:
     """Inverse rotation: the block closing at the last position returns to the front."""
-    n = pi.size
-    if n == 0:
-        raise ValueError("cannot rotate the empty matching")
-    b = pi.match[n - 1]
-    new = [-1] * n
-    new[0] = b + 1
-    new[b + 1] = 0
-    for a in range(0, n - 1):
-        if a == b:
-            continue
-        c = pi.match[a]
-        if a < c:
-            new[a + 1] = c + 1
-            new[c + 1] = a + 1
-    return PairPartition(new)
+    return _rotate(pi, -1)
 
 
 # -- verification sweeps -----------------------------------------------------

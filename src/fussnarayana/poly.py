@@ -60,10 +60,18 @@ class MultiPoly:
 
     @classmethod
     def _from_terms(cls, num_vars: int, terms: dict) -> "MultiPoly":
-        """Wrap terms with clean keys and int values, dropping zeros."""
+        """Wrap terms with clean keys and int values, taking ownership.
+
+        The dict becomes the polynomial's own, so callers pass one they have
+        just built and do not touch again; zero coefficients are dropped
+        from it in place.
+        """
+        if 0 in terms.values():
+            for exps in [e for e, c in terms.items() if not c]:
+                del terms[exps]
         poly = object.__new__(cls)
         poly.num_vars = num_vars
-        poly.terms = {e: c for e, c in terms.items() if c}
+        poly.terms = terms
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -122,12 +130,6 @@ class MultiPoly:
         if rhs is None:
             return NotImplemented
         return self + (-rhs)
-
-    def __rsub__(self, other) -> "MultiPoly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, int):

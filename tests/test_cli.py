@@ -453,6 +453,15 @@ def test_diagram_index_out_of_range(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_diagram_unwritable_target_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.svg"
+    code, out, err = run_cli(
+        capsys, "diagram", "-p", "2", "-k", "2", "--index", "0", "--svg", str(target)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 # -- exit discipline ----------------------------------------------------------------
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -250,6 +250,11 @@ def test_rotation_round_trip_exhaustive():
         for pi in noncrossing_matchings(m):
             assert rotate_cover_inverse(rotate_cover(pi)) == pi
             assert rotate_cover(rotate_cover_inverse(pi)) == pi
+            # m turns of the circle of m positions are the identity
+            image = pi
+            for _ in range(m):
+                image = rotate_cover(image)
+            assert image == pi
 
 
 def test_rotation_is_a_bijection_on_plain_matchings():
