@@ -10,9 +10,15 @@ function psi(x) = sum_k m_k x^k satisfies
     psi = x * (psi + 1) * (psi + t_1) * ... * (psi + t_p).
 
 Moments therefore come from the shared functional-equation solver with
-the leading ratio pinned to 1.  Three independent routes are exposed:
-the series solver, the closed-form polynomials, and (for one factor)
-numerical quadrature against the density itself.
+the leading ratio pinned to 1.  Four independent routes are exposed:
+
+* :func:`moments_by_series`, the series solver at the numeric dims;
+* :func:`moments_by_lagrange`, univariate Lagrange inversion on ints,
+  which the ``moments`` command uses;
+* :func:`moments_by_closed_form`, the closed-form polynomials evaluated
+  at the shapes;
+* :func:`quadrature_moments`, numerical quadrature against the density
+  itself (one factor only).
 """
 
 from __future__ import annotations
@@ -26,7 +32,14 @@ from scipy.integrate import quad
 
 from .exact import fuss_narayana_poly
 from .report import Report
-from .series import solve_functional_equation, truncated_compose, truncated_inverse, truncated_mul
+from .series import (
+    integer_dims,
+    product_coefficient,
+    solve_functional_equation,
+    truncated_compose,
+    truncated_inverse,
+    truncated_mul,
+)
 
 
 class QuadratureError(RuntimeError):
@@ -127,6 +140,40 @@ def moments_by_series(shapes: Sequence, order: int) -> MomentTable:
         raise ValueError(f"order must be >= 1, got {order}")
     g = solve_functional_equation(len(ts), order, dims=(Fraction(1),) + ts)
     return MomentTable(shapes=ts, values=tuple(g[1:]))
+
+
+def moments_by_lagrange(shapes: Sequence, order: int) -> MomentTable:
+    """Moments by univariate Lagrange inversion of the psi equation, on ints.
+
+    With d = (1, t_1, ..., t_p), inversion gives
+
+        m_k = (1/k) [lambda^(k-1)] prod_i (lambda + d_i)^k.
+
+    That coefficient is homogeneous of degree pk + 1 in the d_i, so it
+    is computed at the integer dims q * d_i (q the lcm of the
+    denominators) and divided by q^(pk+1) once.  Each factor is kept
+    only through lambda^(k-1), and the last product needs only that
+    coefficient.  The division by k is a checked ``divmod``; a
+    remainder raises ``ArithmeticError`` rather than returning a
+    rational.
+    """
+    ts = _as_shapes(shapes)
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    p = len(ts)
+    q, ds = integer_dims((1,) + ts)
+    values = []
+    for k in range(1, order + 1):
+        # (lambda + d)^k truncated above lambda^(k-1)
+        factors = [[math.comb(k, m) * d ** (k - m) for m in range(k)] for d in ds]
+        acc = factors[0]
+        for factor in factors[1:-1]:
+            acc = truncated_mul(acc, factor, k - 1, 0)
+        quotient, remainder = divmod(product_coefficient(acc, factors[-1], k - 1, 0), k)
+        if remainder:
+            raise ArithmeticError(f"order {k}: Lagrange coefficient is not divisible by {k}")
+        values.append(Fraction(quotient, q ** (p * k + 1)))
+    return MomentTable(shapes=ts, values=tuple(values))
 
 
 def moments_by_closed_form(shapes: Sequence, order: int) -> MomentTable:

@@ -108,6 +108,13 @@ def _solve(ds: Sequence, zero, one, order: int, step) -> list:
     return g
 
 
+def integer_dims(dims: Sequence) -> tuple[int, list[int]]:
+    """``(q, [q * d for d in dims])`` for exact rational dims, q the lcm of their denominators."""
+    ds = [Fraction(d) for d in dims]
+    q = math.lcm(*(d.denominator for d in ds))
+    return q, [d.numerator * (q // d.denominator) for d in ds]
+
+
 def solve_functional_equation(
     p: int, order: int, dims: Sequence | None = None
 ) -> list:
@@ -144,9 +151,8 @@ def solve_functional_equation(
     # (g(q^p x) + d_i) = q g(q^p x), the last step being the equation at
     # q^p x.  So G_n = g_n(q d) = q^{pn+1} g_n(d), and with q the lcm of
     # the denominators the loop sees only ints.
-    ds = [Fraction(d) for d in dims]
-    q = math.lcm(*(d.denominator for d in ds))
-    big = _solve([d.numerator * (q // d.denominator) for d in ds], 0, 1, order, _int_step)
+    q, ds = integer_dims(dims)
+    big = _solve(ds, 0, 1, order, _int_step)
     return [Fraction(coefficient, q ** (p * n + 1)) for n, coefficient in enumerate(big)]
 
 

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from fussnarayana import cli, partitions
+from fussnarayana import cli, freeprob, partitions
 from fussnarayana.report import Report
 
 
@@ -332,6 +332,20 @@ def test_moments_quadrature_columns(capsys):
     row = lines[2].split(",")
     assert row[0] == "2" and row[1] == "6"
     assert float(row[2]) == pytest.approx(6.0, rel=1e-9)
+
+
+def test_moments_do_not_evaluate_the_closed_form(capsys, monkeypatch):
+    def closed_form_called(*_args):
+        raise AssertionError("moments evaluated the closed form")
+
+    monkeypatch.setattr(freeprob, "moments_by_closed_form", closed_form_called)
+    code, out, _ = run_cli(capsys, "moments", "-t", "1,1/2,2", "-K", "3")
+    assert code == 0
+    assert out.splitlines() == ["k,moment", "1,1", "2,9/2", "3,109/4"]
+    code, out, _ = run_cli(capsys, "moments", "-t", "1/2", "-K", "3", "--quadrature")
+    assert code == 0
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+        ["1", "1/2"], ["2", "3/4"], ["3", "11/8"]]
 
 
 def test_moments_quadrature_needs_single_shape(capsys):

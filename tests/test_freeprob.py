@@ -11,6 +11,7 @@ from fussnarayana.freeprob import (
     MpLaw,
     QuadratureError,
     moments_by_closed_form,
+    moments_by_lagrange,
     moments_by_series,
     mp_density,
     quadrature_moments,
@@ -79,12 +80,11 @@ def test_moment_golden_values():
 
 
 def test_moment_table_input_validation():
-    with pytest.raises(ValueError):
-        moments_by_series((), 3)
-    with pytest.raises(ValueError):
-        moments_by_series((Fraction(-1),), 3)
-    with pytest.raises(ValueError):
-        moments_by_closed_form((Fraction(1),), 0)
+    for route in (moments_by_series, moments_by_lagrange, moments_by_closed_form):
+        for shapes, order in [((), 3), ((Fraction(2), Fraction(0)), 3), ((Fraction(-1),), 3),
+                              ((Fraction(1),), 0)]:
+            with pytest.raises(ValueError):
+                route(shapes, order)
 
 
 def test_series_and_closed_form_agree_on_a_grid():
@@ -97,10 +97,9 @@ def test_series_and_closed_form_agree_on_a_grid():
     ]
     for shapes in shapes_pool:
         order = 8 if len(shapes) <= 2 else 5
-        assert (
-            moments_by_series(shapes, order).values
-            == moments_by_closed_form(shapes, order).values
-        ), shapes
+        by_series = moments_by_series(shapes, order).values
+        assert by_series == moments_by_closed_form(shapes, order).values, shapes
+        assert by_series == moments_by_lagrange(shapes, order).values, shapes
 
 
 @pytest.mark.parametrize(
@@ -113,10 +112,9 @@ def test_series_and_closed_form_agree_on_a_grid():
 )
 def test_series_and_closed_form_agree_at_benchmark_orders(shapes, order):
     # the moments benchmark's factor counts and orders, shapes a/7 with a in 8..13
-    assert (
-        moments_by_closed_form(shapes, order).values
-        == moments_by_series(shapes, order).values
-    )
+    by_series = moments_by_series(shapes, order).values
+    assert moments_by_closed_form(shapes, order).values == by_series
+    assert moments_by_lagrange(shapes, order).values == by_series
 
 
 @pytest.mark.parametrize(
@@ -128,11 +126,22 @@ def test_series_and_closed_form_agree_at_benchmark_orders(shapes, order):
     ],
 )
 def test_series_and_closed_form_agree_with_unequal_denominators(shapes, order):
-    # the series route solves on the integer dims q * (1, t_1, ..., t_p)
-    assert (
-        moments_by_series(shapes, order).values
-        == moments_by_closed_form(shapes, order).values
-    )
+    # the series and Lagrange routes work on the integer dims q * (1, t_1, ..., t_p)
+    by_series = moments_by_series(shapes, order).values
+    assert by_series == moments_by_closed_form(shapes, order).values
+    assert by_series == moments_by_lagrange(shapes, order).values
+
+
+@pytest.mark.parametrize(
+    "shapes, order",
+    [
+        ((Fraction(9, 7), Fraction(12, 7), Fraction(10, 7)), 60),
+        ((Fraction(11, 7), Fraction(8, 7), Fraction(13, 7), Fraction(9, 7)), 40),
+    ],
+)
+def test_lagrange_and_series_agree_past_the_closed_form_reach(shapes, order):
+    # the closed form takes seconds here; Lagrange and series take milliseconds
+    assert moments_by_lagrange(shapes, order).values == moments_by_series(shapes, order).values
 
 
 @pytest.mark.parametrize("p, k", [(1, 9), (2, 7), (3, 5), (4, 4)])

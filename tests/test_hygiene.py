@@ -5,8 +5,8 @@ a name bound by an import and never read.  ``from __future__`` imports
 are skipped.
 
 The routes that check the packed-key kernel stay off it: the closed form
-does not import it, even indirectly, and neither Lagrange inversion nor
-the brute listing names it.
+does not import it, even indirectly, and neither Lagrange inversion
+(symbolic or numeric) nor the brute listing names it.
 """
 
 import ast
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from fussnarayana import partitions, series
+from fussnarayana import freeprob, partitions, series
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -80,7 +80,8 @@ def test_closed_form_does_not_reach_the_kernel():
     assert "_packed" in package_imports("series") & package_imports("partitions")
 
 
-@pytest.mark.parametrize("function", [series.lagrange_coefficient, partitions.listed_histograms],
+@pytest.mark.parametrize("function", [series.lagrange_coefficient, freeprob.moments_by_lagrange,
+                                      partitions.listed_histograms],
                          ids=lambda function: function.__qualname__)
 def test_cross_check_routes_do_not_name_the_kernel(function):
     assert "_packed" not in inspect.getsource(function)
