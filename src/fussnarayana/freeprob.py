@@ -13,8 +13,8 @@ Moments therefore come from the shared functional-equation solver with
 the leading ratio pinned to 1.  Four independent routes are exposed:
 
 * :func:`moments_by_series`, the series solver at the numeric dims;
-* :func:`moments_by_lagrange`, univariate Lagrange inversion on ints,
-  which the ``moments`` command uses;
+* :func:`moments_by_lagrange`, the shared Lagrange inversion at the
+  numeric dims, which the ``moments`` command uses;
 * :func:`moments_by_closed_form`, the closed-form polynomials evaluated
   at the shapes;
 * :func:`quadrature_moments`, numerical quadrature against the density
@@ -33,8 +33,7 @@ from scipy.integrate import quad
 from .exact import fuss_narayana_poly
 from .report import Report
 from .series import (
-    integer_dims,
-    product_coefficient,
+    lagrange_coefficient,
     solve_functional_equation,
     truncated_compose,
     truncated_inverse,
@@ -46,12 +45,15 @@ class QuadratureError(RuntimeError):
     """Raised when numerical integration cannot certify the requested accuracy."""
 
 
-def _as_shapes(shapes: Sequence) -> tuple[Fraction, ...]:
+def _as_shapes(shapes: Sequence, order: int) -> tuple[Fraction, ...]:
+    """The shapes as positive Fractions, for a moment table through ``order`` >= 1."""
     out = tuple(Fraction(t) for t in shapes)
     if not out:
         raise ValueError("at least one shape parameter is required")
     if any(t <= 0 for t in out):
         raise ValueError(f"shape parameters must be positive, got {out}")
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
     return out
 
 
@@ -135,52 +137,26 @@ def moments_by_series(shapes: Sequence, order: int) -> MomentTable:
     the remaining ratios set to the shape parameters; the x^k
     coefficient of the solution is exactly m_k.
     """
-    ts = _as_shapes(shapes)
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    ts = _as_shapes(shapes, order)
     g = solve_functional_equation(len(ts), order, dims=(Fraction(1),) + ts)
     return MomentTable(shapes=ts, values=tuple(g[1:]))
 
 
 def moments_by_lagrange(shapes: Sequence, order: int) -> MomentTable:
-    """Moments by univariate Lagrange inversion of the psi equation, on ints.
+    """Moments by univariate Lagrange inversion of the psi equation.
 
-    With d = (1, t_1, ..., t_p), inversion gives
-
-        m_k = (1/k) [lambda^(k-1)] prod_i (lambda + d_i)^k.
-
-    That coefficient is homogeneous of degree pk + 1 in the d_i, so it
-    is computed at the integer dims q * d_i (q the lcm of the
-    denominators) and divided by q^(pk+1) once.  Each factor is kept
-    only through lambda^(k-1), and the last product needs only that
-    coefficient.  The division by k is a checked ``divmod``; a
-    remainder raises ``ArithmeticError`` rather than returning a
-    rational.
+    m_k = (1/k) [lambda^(k-1)] prod_i (lambda + d_i)^k at d = (1, t_1,
+    ..., t_p), computed by :func:`~fussnarayana.series.lagrange_coefficient`,
+    the same function that inverts the symbolic equation.
     """
-    ts = _as_shapes(shapes)
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    p = len(ts)
-    q, ds = integer_dims((1,) + ts)
-    values = []
-    for k in range(1, order + 1):
-        # (lambda + d)^k truncated above lambda^(k-1)
-        factors = [[math.comb(k, m) * d ** (k - m) for m in range(k)] for d in ds]
-        acc = factors[0]
-        for factor in factors[1:-1]:
-            acc = truncated_mul(acc, factor, k - 1, 0)
-        quotient, remainder = divmod(product_coefficient(acc, factors[-1], k - 1, 0), k)
-        if remainder:
-            raise ArithmeticError(f"order {k}: Lagrange coefficient is not divisible by {k}")
-        values.append(Fraction(quotient, q ** (p * k + 1)))
-    return MomentTable(shapes=ts, values=tuple(values))
+    ts = _as_shapes(shapes, order)
+    values = tuple(lagrange_coefficient(len(ts), k, (1,) + ts) for k in range(1, order + 1))
+    return MomentTable(shapes=ts, values=values)
 
 
 def moments_by_closed_form(shapes: Sequence, order: int) -> MomentTable:
     """Moments by direct evaluation of the closed-form moment polynomials."""
-    ts = _as_shapes(shapes)
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    ts = _as_shapes(shapes, order)
     values = tuple(fuss_narayana_poly(len(ts), k).evaluate(ts) for k in range(1, order + 1))
     return MomentTable(shapes=ts, values=values)
 
@@ -197,11 +173,11 @@ def s_transform_check(shapes: Sequence, order: int) -> Report:
     compares the result with the identity series, coefficient by
     coefficient, in exact arithmetic.
     """
-    ts = _as_shapes(shapes)
     if order < 2:
         raise ValueError(f"order must be >= 2 for a meaningful check, got {order}")
+    moments = moments_by_series(shapes, order)
+    ts = moments.shapes
     report = Report(name=f"s-transform p={len(ts)} order={order}")
-    moments = moments_by_series(ts, order)
     zero = Fraction(0)
     psi = [zero] + list(moments.values)
 

@@ -137,6 +137,8 @@ class McConfig:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.trials < 2:
             raise ValueError(f"need at least 2 trials for a standard error, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.ensemble not in _ENSEMBLES:
             raise ValueError(f"ensemble must be one of {_ENSEMBLES}, got {self.ensemble!r}")
 

@@ -24,9 +24,9 @@ Two independent routes to the moment generating series live here:
 
 * ``lagrange_coefficient`` extracts the same coefficient via Lagrange
   inversion: the x^n coefficient of the solution equals
-  ``(1/n) [lambda^{n-1}] prod_i (lambda + d_i)^n``.  It runs on
-  ``MultiPoly`` and stays off the packed kernel, so it checks that
-  kernel independently.
+  ``(1/n) [lambda^{n-1}] prod_i (lambda + d_i)^n``.  It runs in the
+  solver's two rings, ``MultiPoly`` and the integer dims, and stays off
+  the packed kernel, so it checks that kernel independently.
 
 Both produce the order-k moment polynomial multiplied by d0.
 """
@@ -108,8 +108,18 @@ def _solve(ds: Sequence, zero, one, order: int, step) -> list:
     return g
 
 
-def integer_dims(dims: Sequence) -> tuple[int, list[int]]:
-    """``(q, [q * d for d in dims])`` for exact rational dims, q the lcm of their denominators."""
+def _exact_quotient(numerator: int, denominator: int) -> int:
+    """``numerator / denominator`` as an int; a remainder raises ``ArithmeticError``."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"{numerator} is not divisible by {denominator}")
+    return quotient
+
+
+def _integer_dims(p: int, dims: Sequence) -> tuple[int, list[int]]:
+    """``(q, [q * d for d in dims])`` for p+1 exact rational dims, q the lcm of their denominators."""
+    if len(dims) != p + 1:
+        raise ValueError(f"dims must provide p+1 = {p + 1} values, got {len(dims)}")
     ds = [Fraction(d) for d in dims]
     q = math.lcm(*(d.denominator for d in ds))
     return q, [d.numerator * (q // d.denominator) for d in ds]
@@ -144,42 +154,42 @@ def solve_functional_equation(
         radix = order + 1
         g = _solve(_packed.units(p + 1, radix), {}, {0: 1}, order, _packed_step)
         return [_packed.unpack(p + 1, radix, terms) for terms in g]
-    if len(dims) != p + 1:
-        raise ValueError(f"dims must provide p+1 = {p + 1} values, got {len(dims)}")
     # Homogeneity: if g(x) solves the equation at d, then h(x) = q g(q^p x)
     # solves it at q d, since x prod_i (h + q d_i) = q^{p+1} x prod_i
     # (g(q^p x) + d_i) = q g(q^p x), the last step being the equation at
     # q^p x.  So G_n = g_n(q d) = q^{pn+1} g_n(d), and with q the lcm of
     # the denominators the loop sees only ints.
-    q, ds = integer_dims(dims)
+    q, ds = _integer_dims(p, dims)
     big = _solve(ds, 0, 1, order, _int_step)
     return [Fraction(coefficient, q ** (p * n + 1)) for n, coefficient in enumerate(big)]
 
 
-def lagrange_coefficient(p: int, n: int) -> MultiPoly:
+def lagrange_coefficient(p: int, n: int, dims: Sequence | None = None) -> MultiPoly | Fraction:
     """x^n coefficient of the functional-equation solution, via inversion.
 
-    Computes (1/n) times the lambda^(n-1) coefficient of
-    ``prod_{i=0..p} (lambda + d_i)^n``, working with a univariate
-    polynomial in lambda truncated above degree n-1.  Each coefficient
-    is divided by n with a checked ``divmod``; a remainder raises
-    ``ArithmeticError`` rather than returning a rational.
+    Computes (1/n) [lambda^(n-1)] prod_{i=0..p} (lambda + d_i)^n with
+    every factor and partial product truncated above lambda^(n-1).  The
+    dims and the result follow :func:`solve_functional_equation`: a
+    ``MultiPoly`` for symbolic d_i, a ``Fraction`` through the integer
+    dims for rational ones.  The division by n is exact or raises
+    ``ArithmeticError``.
     """
     if p < 1 or n < 1:
         raise ValueError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
-    num_vars = p + 1
-    zero = MultiPoly(num_vars)
-    # acc[m] is the d-polynomial multiplying lambda^m, kept only for m <= n-1.
-    acc = [MultiPoly.constant(num_vars, 1)]
-    for i in range(num_vars):
-        d_i = MultiPoly.variable(num_vars, i)
-        # (lambda + d_i)^n truncated above lambda^(n-1)
-        factor = [MultiPoly.constant(num_vars, math.comb(n, m)) * d_i ** (n - m) for m in range(n)]
+    if dims is None:
+        zero = MultiPoly(p + 1)
+        ds = [MultiPoly.variable(p + 1, i) for i in range(p + 1)]
+    else:
+        zero = 0
+        q, ds = _integer_dims(p, dims)
+    # (lambda + d)^n truncated above lambda^(n-1)
+    factors = [[math.comb(n, m) * d ** (n - m) for m in range(n)] for d in ds]
+    acc = factors[0]
+    for factor in factors[1:-1]:
         acc = truncated_mul(acc, factor, n - 1, zero)
-    quotients = {}
-    for exps, coeff in acc[n - 1].terms.items():
-        quotient, remainder = divmod(coeff, n)
-        if remainder:
-            raise ArithmeticError(f"coefficient {coeff} at {exps} is not divisible by {n}")
-        quotients[exps] = quotient
-    return MultiPoly._from_terms(num_vars, quotients)
+    top = product_coefficient(acc, factors[-1], n - 1, zero)
+    if dims is None:
+        quotients = {exps: _exact_quotient(c, n) for exps, c in top.terms.items()}
+        return MultiPoly._from_terms(p + 1, quotients)
+    # the same homogeneity as in the solver: G_n = q^{pn+1} g_n
+    return Fraction(_exact_quotient(top, n), q ** (p * n + 1))

@@ -388,6 +388,11 @@ def test_mc_square_case_recovers_catalan_means(capsys):
         assert abs(row["mean"] - row["target"]) <= 3 * row["se"]
 
 
+def test_mc_rejects_a_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "mc", "-d", "1,1", "-n", "10", "-K", "1", "--seed", "-1")
+    assert code == 2 and out == "" and "seed" in err
+
+
 def test_mc_csv_format(capsys):
     code, out, _ = run_cli(
         capsys, "mc", "-d", "1,1", "-n", "15", "-K", "1",

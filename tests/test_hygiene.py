@@ -6,7 +6,8 @@ are skipped.
 
 The routes that check the packed-key kernel stay off it: the closed form
 does not import it, even indirectly, and neither Lagrange inversion
-(symbolic or numeric) nor the brute listing names it.
+(one function for symbolic and numeric dims, and the moment table built
+on it) nor the brute listing names it.
 """
 
 import ast

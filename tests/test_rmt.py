@@ -156,6 +156,8 @@ def test_config_validation():
         small_config(k_max=0)
     with pytest.raises(ValueError):
         small_config(ensemble="quaternion")
+    with pytest.raises(ValueError, match="seed"):
+        small_config(seed=-1)
 
 
 def test_sample_product_shapes_and_dtype():

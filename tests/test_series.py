@@ -143,11 +143,14 @@ signed_dims = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_rational_solve_matches_the_fraction_recurrence(dims, order):
     # mixed denominators, zero and negative dims, p = len(dims) - 1 from 1
-    # to 4: the integer solve is rescaled by q^(pn+1), q the lcm of the
-    # denominators
-    g = solve_functional_equation(len(dims) - 1, order, dims=dims)
+    # to 4: the integer solve and Lagrange inversion are both rescaled by
+    # q^(pn+1), q the lcm of the denominators
+    p = len(dims) - 1
+    g = solve_functional_equation(p, order, dims=dims)
     assert all(type(c) is Fraction for c in g)
     assert g == fraction_recurrence(dims, order)
+    for n in range(1, order + 1):
+        assert lagrange_coefficient(p, n, dims) == g[n]
 
 
 def test_lagrange_against_direct_expansion():
@@ -168,12 +171,20 @@ def test_lagrange_matches_solver(p, order):
         assert lagrange_coefficient(p, n) == g[n]
 
 
+@pytest.mark.parametrize("p,n", [(1, 100), (2, 30), (3, 20)])
+def test_symbolic_lagrange_is_the_moment_polynomial_past_the_solver_orders(p, n):
+    # the orders of the CI series-against-closed-form step
+    assert lagrange_coefficient(p, n) == limit_moment_poly(p, n) * MultiPoly.variable(p + 1, 0)
+
+
 def test_lagrange_coefficients_are_integers():
     for p, n in [(1, 6), (2, 4), (3, 3), (4, 2)]:
         poly = lagrange_coefficient(p, n)
         assert all(c.denominator == 1 for c in poly.terms.values())
     with pytest.raises(ValueError):
         lagrange_coefficient(1, 0)
+    with pytest.raises(ValueError):
+        lagrange_coefficient(2, 3, dims=(1, 2))
 
 
 def test_kernel_inverse_of_one_minus_x():
