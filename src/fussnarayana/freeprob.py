@@ -14,7 +14,8 @@ the leading ratio pinned to 1.  Four independent routes are exposed:
 
 * :func:`moments_by_series`, the series solver at the numeric dims;
 * :func:`moments_by_lagrange`, the shared Lagrange inversion at the
-  numeric dims, which the ``moments`` command uses;
+  numeric dims, which the ``moments`` command uses: O(p k) integer
+  products at order k, so a table through order K costs O(p K^2);
 * :func:`moments_by_closed_form`, the closed-form polynomials evaluated
   at the shapes;
 * :func:`quadrature_moments`, numerical quadrature against the density

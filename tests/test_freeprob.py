@@ -137,10 +137,13 @@ def test_series_and_closed_form_agree_with_unequal_denominators(shapes, order):
     [
         ((Fraction(9, 7), Fraction(12, 7), Fraction(10, 7)), 60),
         ((Fraction(11, 7), Fraction(8, 7), Fraction(13, 7), Fraction(9, 7)), 40),
+        ((Fraction(9, 7), Fraction(12, 7), Fraction(10, 7)), 200),
+        ((Fraction(11, 7), Fraction(8, 7), Fraction(13, 7), Fraction(9, 7)), 100),
     ],
 )
 def test_lagrange_and_series_agree_past_the_closed_form_reach(shapes, order):
-    # the closed form takes seconds here; Lagrange and series take milliseconds
+    # the closed form takes seconds here, Lagrange and series a fraction of a
+    # second; the last two inputs run the power recurrence on thousand-digit ints
     assert moments_by_lagrange(shapes, order).values == moments_by_series(shapes, order).values
 
 
