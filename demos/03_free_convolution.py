@@ -2,10 +2,11 @@
 """Moments of a free multiplicative convolution, checked against quadrature.
 
 Builds the product of Marchenko-Pastur laws with shape parameters
-(1, 1/2, 2), computes its moments exactly by two routes, confirms the
-compositional inverse used by the series route, and then integrates the
-single-factor density numerically to show the exact moments are the
-ones an integral would give.
+(1, 1/2, 2), computes its moments exactly by two routes, checks the
+series route's moments against the S-transform identity
+S(z) = prod_i 1/(z + t_i), and then integrates the single-factor density
+numerically to show the exact moments are the ones an integral would
+give.
 """
 
 from fractions import Fraction
@@ -47,7 +48,7 @@ def main() -> None:
     print()
 
     report = s_transform_check(shapes, K_MAX)
-    print(f"inverse-series check: {report.checks} coefficients compared, ok={report.ok}")
+    print(f"S-transform identity check: {report.checks} coefficients compared, ok={report.ok}")
     print()
 
     t = Fraction(1, 2)

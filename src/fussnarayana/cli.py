@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--closed", action="store_const", dest="method", const="closed",
                        help="closed form (default)")
     group.add_argument("--enumerate", action="store_const", dest="method", const="enumerate",
-                       help="brute-force noncrossing enumeration")
+                       help="noncrossing matchings counted by the interval recurrence")
     group.add_argument("--series", action="store_const", dest="method", const="series",
                        help="functional-equation series")
     group.add_argument("--all-methods", action="store_const", dest="method", const="all",
@@ -259,16 +259,19 @@ def _oracle_sweep(p: int, k_max: int, budget: int):
     return report
 
 
+# the shape tuples of ``verify --suite freeprob``
+FREEPROB_FIXTURES = (
+    (Fraction(1),), (Fraction(2),), (Fraction(1, 2),),
+    (Fraction(1), Fraction(1)), (Fraction(2), Fraction(3)),
+    (Fraction(1, 2), Fraction(3), Fraction(5, 7)),
+    (Fraction(1), Fraction(1), Fraction(1), Fraction(4, 3)),
+)
+
+
 def _freeprob_sweep(k_max: int):
     report = Report(name=f"free convolution k<={k_max}")
-    fixtures = [
-        (Fraction(1),), (Fraction(2),), (Fraction(1, 2),),
-        (Fraction(1), Fraction(1)), (Fraction(2), Fraction(3)),
-        (Fraction(1, 2), Fraction(3), Fraction(5, 7)),
-        (Fraction(1), Fraction(1), Fraction(1), Fraction(4, 3)),
-    ]
     closed = {}
-    for shapes in fixtures:
+    for shapes in FREEPROB_FIXTURES:
         by_series = freeprob.moments_by_series(shapes, k_max)
         by_closed = closed[shapes] = freeprob.moments_by_closed_form(shapes, k_max)
         report.tally(by_series.values == by_closed.values,

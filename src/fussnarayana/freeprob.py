@@ -33,13 +33,7 @@ from scipy.integrate import quad
 
 from .exact import fuss_narayana_poly
 from .report import Report
-from .series import (
-    lagrange_coefficient,
-    solve_functional_equation,
-    truncated_compose,
-    truncated_inverse,
-    truncated_mul,
-)
+from .series import lagrange_coefficient, solve_functional_equation, truncated_mul
 
 
 class QuadratureError(RuntimeError):
@@ -165,35 +159,40 @@ def moments_by_closed_form(shapes: Sequence, order: int) -> MomentTable:
 def s_transform_check(shapes: Sequence, order: int) -> Report:
     """Verify the moment series against the product of S-transforms.
 
-    The claimed compositional inverse of psi is
+    S(z) = prod_i 1/(z + t_i) says that psi has the compositional
+    inverse z / D(z), D(z) = (z + 1) * prod_i (z + t_i), so psi(z/D) = z.
+    With K = ``order`` and the moments from :func:`moments_by_series`,
+    the check multiplies that identity through by D^K:
 
-        x(z) = z / ((z + 1) * prod_i (z + t_i)),
+        R = D^K (psi(z/D) - z)
+          = z D^(K-1) (m_1 - D) + sum_{k=2..K} m_k z^k D^(K-k),
 
-    a restatement of S(z) = prod_i 1/(z + t_i).  The check composes the
-    psi series from :func:`moments_by_series` with this inverse and
-    compares the result with the identity series, coefficient by
-    coefficient, in exact arithmetic.
+    built by Horner's rule, R <- R * D + m_k z^k, and tests
+    R = 0 mod z^(K+1) coefficient by coefficient, in exact arithmetic.
+    D(0) = prod_i t_i is nonzero, so D^K is a unit among power series
+    and this test holds exactly when psi(z/D) = z mod z^(K+1) does.
     """
     if order < 2:
         raise ValueError(f"order must be >= 2 for a meaningful check, got {order}")
     moments = moments_by_series(shapes, order)
     ts = moments.shapes
     report = Report(name=f"s-transform p={len(ts)} order={order}")
-    zero = Fraction(0)
-    psi = [zero] + list(moments.values)
+    zero, one = Fraction(0), Fraction(1)
 
-    # denominator (z + 1) * prod (z + t_i), expanded in z
-    denom = [Fraction(1)]
-    for c in (Fraction(1),) + ts:
-        denom = truncated_mul(denom, [c, Fraction(1)], order, zero)
-    psi_inverse = [zero] + truncated_inverse(denom, order)[:order]
-
-    composed = truncated_compose(psi, psi_inverse, order, zero)
-    expected = [zero, Fraction(1)] + [zero] * (order - 1)
+    # D = (z + 1) * prod (z + t_i), expanded in z to its degree p + 1
+    denom = [one]
+    for c in (one,) + ts:
+        denom = truncated_mul(denom, [c, one], len(denom), zero)
+    # R = z (m_1 - D), then one Horner step per further moment
+    residual = truncated_mul([zero, one], [-c for c in denom], order, zero)
+    residual[1] += moments.values[0]
+    for k in range(2, order + 1):
+        residual = truncated_mul(residual, denom, order, zero)
+        residual[k] += moments.values[k - 1]
     for k in range(order + 1):
         report.tally(
-            composed[k] == expected[k],
-            lambda: f"coefficient {k}: psi(inverse(x)) has {composed[k]}, expected {expected[k]}",
+            residual[k] == 0,
+            lambda: f"coefficient {k}: R = D^K (psi(z/D) - z) has {residual[k]}, expected 0",
         )
     return report
 

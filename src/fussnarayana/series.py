@@ -1,11 +1,13 @@
 """Truncated power series, computed one coefficient at a time.
 
 The kernel works on coefficient lists ``c[0..K]``, standing for
-``c_0 + c_1 x + ... + c_K x^K + O(x^{K+1})``, over exact rationals or
-:class:`~fussnarayana.poly.MultiPoly`.  Its one step is ``[x^n] (a * b)``
-from the coefficients stored so far, so a coefficient that depends only
-on lower ones is computed once, in increasing order (Brent and Kung,
-J. ACM 25, 1978).
+``c_0 + c_1 x + ... + c_K x^K + O(x^{K+1})``, over any ring whose
+elements multiply and add: Python ints, exact rationals or
+:class:`~fussnarayana.poly.MultiPoly`.  Its one operation is the product
+coefficient ``[x^n] (a * b)`` from the coefficients stored so far
+(:func:`product_coefficient`, and :func:`truncated_mul` for a whole
+truncated product), so a coefficient that depends only on lower ones is
+computed once, in increasing order (Brent and Kung, J. ACM 25, 1978).
 
 Two independent routes to the moment generating series live here:
 
@@ -67,30 +69,6 @@ def product_coefficient(a: Sequence, b: Sequence, n: int, zero):
 def truncated_mul(a: Sequence, b: Sequence, order: int, zero) -> list:
     """Coefficients 0..order of the product a * b."""
     return [product_coefficient(a, b, n, zero) for n in range(order + 1)]
-
-
-def truncated_inverse(a: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Coefficients 0..order of 1/a; a[0] must be a nonzero rational."""
-    if not a[0]:
-        raise ValueError("series with zero constant term has no reciprocal")
-    head = 1 / Fraction(a[0])
-    out = [head]
-    # with out holding n entries, the step leaves out the unknown a[0] * out[n]
-    for n in range(1, order + 1):
-        out.append(-product_coefficient(a, out, n, Fraction(0)) * head)
-    return out
-
-
-def truncated_compose(f: Sequence, g: Sequence, order: int, zero) -> list:
-    """Coefficients 0..order of f(g(x)); g must have zero constant term."""
-    if g[0]:
-        raise ValueError("composition needs a series with zero constant term")
-    top = min(order, len(f) - 1)
-    out = [f[top]]
-    for k in range(top - 1, -1, -1):
-        out = truncated_mul(out, g, order, zero)
-        out[0] = out[0] + f[k]
-    return out + [zero] * (order + 1 - len(out))
 
 
 def _int_step(prev: Sequence[int], g: Sequence[int], n: int, d: int) -> int:

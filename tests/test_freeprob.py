@@ -1,13 +1,17 @@
 """Tests for Marchenko-Pastur laws and free multiplicative convolution moments."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from scipy.integrate import quad
 
+from fussnarayana import freeprob
+from fussnarayana.cli import FREEPROB_FIXTURES
 from fussnarayana.exact import fuss_narayana_poly, limit_moment_poly
 from fussnarayana.freeprob import (
+    MomentTable,
     MpLaw,
     QuadratureError,
     moments_by_closed_form,
@@ -197,6 +201,27 @@ def test_s_transform_inversion(shapes):
     report = s_transform_check(shapes, 6)
     assert report.ok, report.mismatches
     assert report.checks == 7
+
+
+@pytest.mark.parametrize("order", [2, 12, 30])
+@pytest.mark.parametrize("shapes", FREEPROB_FIXTURES)
+def test_s_transform_check_catches_each_raised_moment(shapes, order, monkeypatch):
+    report = s_transform_check(shapes, order)
+    assert report.ok, report.mismatches
+    assert report.checks == order + 1
+    table = moments_by_series(shapes, order)
+    for j in range(1, order + 1):
+        values = list(table.values)
+        values[j - 1] += 1
+        planted = MomentTable(shapes=table.shapes, values=tuple(values))
+        monkeypatch.setattr(freeprob, "moments_by_series", lambda *_: planted)
+        faulty = s_transform_check(shapes, order)
+        assert faulty.checks == order + 1
+        # m_j enters R first at z^j, times D(0)^(K-j) with D(0) = prod_i t_i
+        lowest = math.prod(table.shapes) ** (order - j)
+        assert faulty.mismatches[:1] == [
+            f"coefficient {j}: R = D^K (psi(z/D) - z) has {lowest}, expected 0"
+        ], (shapes, order, j)
 
 
 def test_s_transform_check_needs_two_orders():

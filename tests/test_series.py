@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 from fussnarayana.exact import limit_moment_poly
 from fussnarayana.poly import MultiPoly
-from fussnarayana.series import (
-    lagrange_coefficient,
-    solve_functional_equation,
-    truncated_compose,
-    truncated_inverse,
-    truncated_mul,
-)
+from fussnarayana.series import lagrange_coefficient, solve_functional_equation, truncated_mul
 
 
 def test_series_arithmetic_truncates():
@@ -185,28 +179,6 @@ def test_lagrange_coefficients_are_integers():
         lagrange_coefficient(1, 0)
     with pytest.raises(ValueError):
         lagrange_coefficient(2, 3, dims=(1, 2))
-
-
-def test_kernel_inverse_of_one_minus_x():
-    one = Fraction(1)
-    assert truncated_inverse([one, -one], 6) == [one] * 7
-    # 1/(1 + 2x + x^2) = 1/(1 + x)^2 = sum (-1)^n (n + 1) x^n
-    assert truncated_inverse([one, 2, 1], 5) == [(-1) ** n * (n + 1) for n in range(6)]
-    with pytest.raises(ValueError):
-        truncated_inverse([Fraction(0), one], 3)
-
-
-def test_kernel_compose_with_compositional_inverse():
-    zero, one = Fraction(0), Fraction(1)
-    order = 7
-    # psi = x / (1 - x) and its compositional inverse x / (1 + x)
-    psi = [zero] + [one] * order
-    psi_inverse = [zero] + truncated_inverse([one, one], order - 1)
-    identity = [zero, one] + [zero] * (order - 1)
-    assert truncated_compose(psi, psi_inverse, order, zero) == identity
-    assert truncated_compose(psi_inverse, psi, order, zero) == identity
-    with pytest.raises(ValueError):
-        truncated_compose(psi, [one, one], order, zero)
 
 
 def test_kernel_is_generic_over_the_coefficient_ring():
