@@ -14,27 +14,40 @@ g / sqrt(n); it carries a genuine O(1/n) offset that a 2-3 standard
 error gate at n of a few hundred will flag, especially at higher k.
 
 Every trial uses its own generator seeded as (seed, trial_index), so
-results are reproducible; trial statistics are aggregated after all
-trials finish.  The generator stream is laid out block by block, left
-to right, and within a complex block the real part is drawn before the
-imaginary part.  Each complex block is one buffer whose real and
-imaginary parts are filled from the draws, and the 1/sqrt(2 n) (or
-1/sqrt(n)) scale is applied once, to the product.  The blocks are
-multiplied in the order of fewest scalar multiply-adds (the matrix-chain
-dynamic program), which is left to right for p <= 2, and the trace
-powers are paired: Tr G^(a+b) = <G^b, G^a> for the Hermitian Gram
-matrix G, so orders up to K need ceil(K/2) - 1 matrix products.
+results are reproducible; trial statistics are aggregated by trial index
+after all trials finish.  Trials run side by side on a thread pool, as
+many at once as the CPUs that BLAS leaves free, the trials and the trial
+estimates that fit in ``MAX_INFLIGHT_BYTES`` allow; a trial over that
+budget runs alone, and so does every trial while BLAS takes every CPU,
+its default.  BLAS thread settings are read, never set.
 
-A trial's arrays (the blocks and the largest chain intermediate, taken
-as complex, plus one real draw temporary) must fit in
-``MAX_TRIAL_BYTES``; ``DimensionProfile.from_targets`` rejects larger
-profiles.
+The generator stream is laid out block by block, left to right, and
+within a complex block the real part is drawn before the imaginary part.
+Each complex block is one buffer whose real and imaginary parts are
+filled from the draws, and the 1/sqrt(2 n) (or 1/sqrt(n)) scale is
+applied once, to the product.  The blocks are multiplied in the order of
+fewest scalar multiply-adds (the matrix-chain dynamic program), which is
+left to right for p <= 2, and the trace powers are paired:
+Tr G^(a+b) = <G^b, G^a> for the Hermitian Gram matrix G, so orders up
+to K need ceil(K/2) - 1 matrix products.
+
+A trial's arrays must fit in ``MAX_TRIAL_BYTES``, and
+``DimensionProfile.from_targets`` rejects larger profiles.  The estimate
+takes every array as complex and is the larger of two phases: sampling
+holds the blocks, one real draw temporary and the chain intermediates;
+the trace holds the product, its conjugate copy, the Gram matrix and two
+of its powers.  The trials in flight together hold at most the larger
+of ``MAX_INFLIGHT_BYTES`` and one trial's estimate, so the 1 GiB cap
+covers every trial in flight.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +58,15 @@ _ENSEMBLES = ("complex", "real")
 
 MAX_TRIAL_BYTES = 1 << 30
 """Cap on the estimated bytes one trial holds at once (1 GiB)."""
+
+MAX_INFLIGHT_BYTES = 32 << 20
+"""Budget for the estimated bytes of the trials run at once (32 MiB); a larger trial runs alone."""
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+"""The settings BLAS libraries read for their thread count; read here, never set."""
+
+_TRIAL_OVERHEAD_BYTES = 1 << 16
+"""Allowance for a trial's small objects: the generator, the moment vector and array headers."""
 
 
 def _chain_steps(dims: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -81,12 +103,18 @@ def _chain_steps(dims: Sequence[int]) -> list[tuple[int, int, int]]:
 def _trial_bytes(dims: Sequence[int]) -> int:
     """Bytes of the arrays one complex trial holds at once, estimated.
 
-    The p blocks, one real draw temporary the size of the largest block,
-    and the largest intermediate of the cost-ordered chain product.
+    The larger of its two phases, plus a fixed allowance for small objects.
+    Sampling holds the p blocks, one real draw temporary the size of the
+    largest block, and the intermediates of the cost-ordered chain product.
+    The trace holds the N_0 x N_p product (for p = 1, the block itself)
+    and its conj() copy, then the Gram matrix and up to two live powers
+    of it, each min(N_0, N_p)^2.
     """
     blocks = [a * b for a, b in zip(dims, dims[1:])]
     intermediates = [dims[i] * dims[j + 1] for i, _, j in _chain_steps(dims)]
-    return 16 * sum(blocks) + 8 * max(blocks) + 16 * max(intermediates, default=0)
+    sampling = 16 * sum(blocks) + 8 * max(blocks) + 16 * sum(intermediates)
+    tracing = 16 * (2 * dims[0] * dims[-1] + 3 * min(dims[0], dims[-1]) ** 2)
+    return max(sampling, tracing) + _TRIAL_OVERHEAD_BYTES
 
 
 @dataclass(frozen=True)
@@ -252,16 +280,56 @@ def _one_trial(config: McConfig, trial: int) -> np.ndarray:
     return trace_moments(product, config.profile, config.k_max)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """Threads one BLAS call takes, read as the BLAS libraries read it.
+
+    The first of ``_BLAS_THREAD_VARIABLES`` set to a positive count, else
+    every usable CPU, the OpenBLAS and MKL default.
+    """
+    for name in _BLAS_THREAD_VARIABLES:
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _usable_cpus()
+
+
+def _workers(config: McConfig) -> int:
+    """How many trials run at once.
+
+    At most the CPUs that BLAS leaves free, the trials, and the trials
+    whose estimates fit in ``MAX_INFLIGHT_BYTES``, and at least one.
+    Trials share the usable CPUs with the threads of their BLAS calls, so
+    with BLAS on every CPU (its default) they run one at a time: a second
+    trial beside a multi-threaded matrix product only slows both.
+    """
+    cpus = max(1, _usable_cpus() // _blas_threads())
+    per_trial = _trial_bytes(config.profile.realized)
+    return min(cpus, config.trials, max(1, MAX_INFLIGHT_BYTES // per_trial))
+
+
 def run_experiment(config: McConfig) -> McResult:
     """Run all trials of a configuration and aggregate the moment statistics.
 
-    Trials run in index order, each on its own seeded generator, and
-    means are taken along the trial axis afterwards, so the result is a
-    pure function of the configuration.
+    Trials run on a thread pool of ``_workers(config)`` threads, each on
+    its own seeded generator.  Rows are stored by trial index and means
+    are taken along the trial axis afterwards, so the result is a pure
+    function of the configuration, whatever the number of threads.  The
+    estimated bytes in flight stay within ``MAX_INFLIGHT_BYTES``, or one
+    trial's estimate when that is larger.  If a trial raises, the queued
+    trials are cancelled, the running ones finish, and the error is
+    re-raised after every pool thread has exited.
     """
-    per_trial = np.empty((config.trials, config.k_max))
-    for trial in range(config.trials):
-        per_trial[trial] = _one_trial(config, trial)
+    with ThreadPoolExecutor(_workers(config)) as pool:
+        # map yields in trial order; an error cancels the trials not yet started
+        per_trial = np.array(list(pool.map(partial(_one_trial, config), range(config.trials))))
 
     profile = config.profile
     means = per_trial.mean(axis=0)

@@ -428,7 +428,7 @@ def test_mc_rejects_non_finite_ratios(capsys, ratio):
 def test_mc_rejects_a_trial_over_the_memory_cap(capsys):
     code, out, err = run_cli(capsys, "mc", "-d", "1,1", "-n", "20000", "-K", "2", "--trials", "4")
     assert code == 2 and out == ""
-    assert "estimated 9600000000 bytes per trial, over the cap of 1073741824 bytes" in err
+    assert "estimated 32000065536 bytes per trial, over the cap of 1073741824 bytes" in err
 
 
 # -- diagram ---------------------------------------------------------------------

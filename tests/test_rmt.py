@@ -6,6 +6,9 @@ the full-size gate lives in the acceptance suite.
 
 import json
 import math
+import threading
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +20,11 @@ from fussnarayana.rmt import (
     McConfig,
     McResult,
     MomentStat,
+    _TRIAL_OVERHEAD_BYTES,
     _chain_steps,
+    _one_trial,
     _trial_bytes,
+    _workers,
     run_experiment,
     sample_product,
     trace_moments,
@@ -53,15 +59,44 @@ def test_dimension_profile_rounding():
 
 
 def test_trial_memory_cap():
-    # one 100 x 500000 complex block (0.8 GB) plus its real draw temporary
-    assert _trial_bytes((100, 500_000)) == 1_200_000_000
-    # a 20000 x 20000 complex block is 6.4 GB, although no side passes 20000
-    with pytest.raises(ValueError, match=r"estimated 9600000000 bytes .* cap of 1073741824 bytes"):
+    overhead = _TRIAL_OVERHEAD_BYTES
+    # the trace phase: the 100 x 500000 product (the block itself) and its
+    # conj() copy, then the 100 x 100 Gram matrix and two of its powers
+    assert _trial_bytes((100, 500_000)) == 16 * (2 * 50_000_000 + 3 * 10_000) + overhead
+    # the 20000 x 20000 product, its copy, Gram matrix and two powers take 32 GB
+    with pytest.raises(ValueError, match=r"estimated 32000065536 bytes .* cap of 1073741824 bytes"):
         DimensionProfile.from_targets((1.0, 1.0), 20_000)
-    # blocks 300x450 and 450x150, draw temporary 300x450, intermediate 300x150
-    assert _trial_bytes((300, 450, 150)) == 16 * 202_500 + 8 * 135_000 + 16 * 45_000
-    # the largest intermediate is that of the cheapest order: (400x1)(1x400) is never formed
-    assert _trial_bytes((400, 1, 400, 1)) == 16 * 1200 + 8 * 400 + 16 * 400
+    assert _trial_bytes((300, 300)) == 16 * 5 * 90_000 + overhead
+    # sampling: blocks 300x450 and 450x150, draw temporary 300x450, intermediate 300x150
+    assert _trial_bytes((300, 450, 150)) == 16 * 202_500 + 8 * 135_000 + 16 * 45_000 + overhead
+    # the intermediates are those of the cheapest order, 1x1 then 400x1:
+    # the 400x400 (400x1)(1x400) is never formed
+    assert _trial_bytes((400, 1, 400, 1)) == 16 * 1200 + 8 * 400 + 16 * 401 + overhead
+
+
+def _traced_peak(config):
+    _one_trial(config, 0)  # first-call allocations are not the trial's
+    tracemalloc.start()
+    try:
+        _one_trial(config, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("ensemble", ["complex", "real"])
+@pytest.mark.parametrize("d", [
+    (1.0, 1.0), (1.0, 3.0), (3.0, 1.0),
+    (1.0, 1.5, 0.5), (0.5, 1.5, 1.0),
+    (1.0, 2.0, 1.0, 0.5), (0.5, 1.0, 2.0, 1.0),
+])
+def test_trial_bytes_bound_the_traced_peak(d, ensemble):
+    # both Gram sides at p = 1..3; every order up to 9 holds the Gram matrix
+    # and two of its powers at the end, the square p = 1 case most of all
+    profile = DimensionProfile.from_targets(d, 100)
+    for k_max in range(1, 10):
+        config = McConfig(profile=profile, k_max=k_max, trials=2, seed=3, ensemble=ensemble)
+        assert _traced_peak(config) <= _trial_bytes(profile.realized), k_max
 
 
 def _chain_cost(dims, steps):
@@ -222,6 +257,69 @@ def test_experiment_is_deterministic_and_order_insensitive():
     second = run_experiment(config)
     assert first.to_json_text() == second.to_json_text()
     assert first.to_csv_text() == second.to_csv_text()
+
+
+def _pinned_cpus(monkeypatch, cpus, blas_threads="1"):
+    monkeypatch.setattr("fussnarayana.rmt._usable_cpus", lambda: cpus)
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+
+
+@pytest.mark.parametrize("ensemble", ["complex", "real"])
+@pytest.mark.parametrize("d", [(1.0, 2.0), (1.0, 1.5, 0.5), (1.0, 2.0, 1.0, 0.5)])
+def test_pooled_output_matches_a_serial_loop(monkeypatch, d, ensemble):
+    config = small_config(profile=DimensionProfile.from_targets(d, 30), k_max=4, ensemble=ensemble)
+    texts = []
+    for cpus in (1, 4):
+        _pinned_cpus(monkeypatch, cpus)
+        assert _workers(config) == cpus
+        result = run_experiment(config)
+        texts.append((result.to_json_text(), result.to_csv_text()))
+    assert texts[0] == texts[1]
+    rows = np.array([_one_trial(config, t) for t in range(config.trials)])
+    ses = rows.std(axis=0, ddof=1) / math.sqrt(config.trials)
+    assert [m.mean for m in result.moments] == rows.mean(axis=0).tolist()
+    assert [m.se for m in result.moments] == ses.tolist()
+
+
+def test_worker_count_follows_cpus_trials_and_the_inflight_budget(monkeypatch):
+    chain = small_config(profile=DimensionProfile.from_targets((1.0, 2.0, 1.0, 0.5), 500))
+    gate = small_config(profile=DimensionProfile.from_targets((1.0, 1.5, 0.5), 300), trials=200)
+    for cpus in (1, 2, 4):
+        _pinned_cpus(monkeypatch, cpus)
+        # a 28 MB chain trial leaves no room for a second in the 32 MiB budget
+        assert _workers(chain) == 1
+        # a 5 MB gate trial fits six times
+        assert _workers(gate) == min(cpus, 6)
+        assert _workers(small_config(trials=2)) == min(cpus, 2)
+    # trials share the CPUs with their BLAS threads: every CPU by default
+    for blas_threads, workers in ((None, 1), ("4", 1), ("2", 2), ("0", 1), ("x", 1)):
+        _pinned_cpus(monkeypatch, 4, blas_threads)
+        assert _workers(gate) == workers, blas_threads
+    _pinned_cpus(monkeypatch, 4, None)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert _workers(gate) == 4
+
+
+def test_a_failing_trial_cancels_the_queue_and_leaves_no_thread(monkeypatch):
+    _pinned_cpus(monkeypatch, 4)
+    started = []
+
+    def failing_trial(config, trial):
+        started.append(trial)
+        time.sleep(0.02)
+        if trial == 3:
+            raise RuntimeError("trial 3 failed")
+        return np.zeros(config.k_max)
+
+    monkeypatch.setattr("fussnarayana.rmt._one_trial", failing_trial)
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="trial 3 failed"):
+        run_experiment(small_config(trials=50))
+    assert 3 in started and len(started) < 50
+    assert threading.active_count() == threads_before
 
 
 def test_different_seeds_differ():
