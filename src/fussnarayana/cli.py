@@ -15,6 +15,7 @@ default enumeration budget (a cap on the word length 2*p*k).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -328,15 +329,17 @@ def cmd_mc(args) -> int:
 
 def cmd_diagram(args) -> int:
     spec = partitions.WordSpec(args.p, args.shift, args.k)
-    budget = _budget()
-    matchings = list(partitions.enumerate_adapted(spec, budget=budget))
-    if not 0 <= args.index < len(matchings):
+    matchings = partitions.enumerate_adapted(spec, budget=_budget())
+    # list up to --index; the rest is counted only to word an out-of-range error
+    passed = sum(1 for _ in itertools.islice(matchings, max(args.index, 0)))
+    chosen = next(matchings, None)
+    if args.index < 0 or chosen is None:
+        count = passed + (chosen is not None) + sum(1 for _ in matchings)
         raise ValueError(
-            f"--index {args.index} outside 0..{len(matchings) - 1} "
+            f"--index {args.index} outside 0..{count - 1} "
             f"for p={args.p}, k={args.k}, shift={args.shift}"
         )
-    word = partitions.build_word(spec)
-    write_partition_svg(args.svg, matchings[args.index], word)
+    write_partition_svg(args.svg, chosen, partitions.build_word(spec))
     print(f"wrote {args.svg}", file=sys.stderr)
     return 0
 

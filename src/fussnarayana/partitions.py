@@ -15,8 +15,15 @@ positions; shift p places all starred letters first.  The word of a
 
 Adapted matchings.  A pair matching of the positions of a word W is
 adapted to W when every block joins a plain letter l to a starred copy
-l* of the same letter.  ``enumerate_adapted`` lists, in a fixed
-deterministic order, the noncrossing matchings adapted to a word.
+l* of the same letter.  ``enumerate_adapted`` lists the noncrossing
+matchings adapted to a word lazily, in canonical order: lexicographic in
+the match array.  It builds once per word the table of each position's
+admissible partners (odd distance, same letter, opposite star) and walks
+it, always giving the first free position its next partner inside the
+open region, inside the new block before outside it.
+``noncrossing_matchings`` walks the same way a table built from a
+``compatible`` predicate.  Every listed matching is a validated
+``PairPartition``.
 
 Leg profiles.  Order the two positions of a block; the larger one is
 the block's right leg.  The profile of a matching is the vector
@@ -136,7 +143,7 @@ class PairPartition:
     __slots__ = ("match",)
 
     def __init__(self, match: Sequence[int]):
-        match = tuple(int(x) for x in match)
+        match = tuple(map(int, match))
         n = len(match)
         if n % 2:
             raise ValueError("a pair matching needs an even number of positions")
@@ -148,10 +155,8 @@ class PairPartition:
         for i, j in enumerate(match):
             if j > i:
                 stack.append(i)
-            else:
-                if not stack or stack[-1] != j:
-                    raise ValueError(f"blocks cross near position {i}")
-                stack.pop()
+            elif not stack or stack.pop() != j:
+                raise ValueError(f"blocks cross near position {i}")
         self.match = match
 
     @classmethod
@@ -197,49 +202,77 @@ class PairPartition:
         return f"PairPartition[{self.to_line()}]"
 
 
+def _walk(partners: Sequence[Sequence[int]]) -> Iterator[PairPartition]:
+    """Noncrossing pair matchings of 0..n-1, n = len(partners), whose blocks come from a table.
+
+    ``partners[a]`` lists, ascending, the positions b > a that may close a
+    block opened at a.  The walk fills the first free position of the
+    current region, inside the new block first and outside it after, so
+    the matchings come in lexicographic order of their match arrays.
+    """
+    size = len(partners)
+    match = [-1] * size
+    if not size:
+        yield PairPartition(match)
+        return
+    # A frame is a region [lo, hi), the regions still to fill after it
+    # (a linked list of (lo, hi, rest)), and lo's partners not yet tried.
+    frames = [(0, size, None, iter(partners[0]))]
+    while frames:
+        lo, hi, rest, untried = frames[-1]
+        mid = next(untried, hi)
+        if mid >= hi:
+            frames.pop()
+            continue
+        match[lo] = mid
+        match[mid] = lo
+        if lo + 1 < mid:  # fill the new block's inside, then what is right of it
+            if mid + 1 < hi:
+                rest = (mid + 1, hi, rest)
+            lo, hi = lo + 1, mid
+        elif mid + 1 < hi:  # an empty inside: go on right of the block
+            lo = mid + 1
+        elif rest is not None:  # this region is full: take the next one
+            lo, hi, rest = rest
+        else:  # every position is matched
+            yield PairPartition(match)
+            continue
+        frames.append((lo, hi, rest, iter(partners[lo])))
+
+
 def noncrossing_matchings(
     size: int, compatible: Callable[[int, int], bool] | None = None
 ) -> Iterator[PairPartition]:
     """All noncrossing pair matchings of 0..size-1, optionally filtered.
 
     ``compatible(a, b)`` (0-based, a < b) limits which positions may form
-    a block.  Enumeration order is deterministic: the first open position
-    always pairs with its smallest admissible partner first, and the
-    region inside a new block is resolved before the region outside it.
+    a block; it is asked once per pair at odd distance, up front.  The
+    matchings come lazily, in lexicographic order of their match arrays.
     """
     if size < 0 or size % 2:
         raise ValueError(f"size must be even and nonnegative, got {size}")
-    match = [-1] * size
-
-    def gen(lo: int, hi: int) -> Iterator[None]:
-        if lo > hi:
-            yield None
-            return
-        for mid in range(lo + 1, hi + 1, 2):
-            if compatible is None or compatible(lo, mid):
-                match[lo] = mid
-                match[mid] = lo
-                for _inner in gen(lo + 1, mid - 1):
-                    yield from gen(mid + 1, hi)
-
-    def emit() -> Iterator[PairPartition]:
-        for _ in gen(0, size - 1):
-            yield PairPartition(match)
-
-    return emit()
+    return _walk([
+        tuple(b for b in range(a + 1, size, 2) if compatible is None or compatible(a, b))
+        for a in range(size)
+    ])
 
 
 def enumerate_adapted(spec: WordSpec, budget: int = DEFAULT_BUDGET) -> Iterator[PairPartition]:
-    """Noncrossing matchings adapted to the word of ``spec``, in canonical order."""
+    """Noncrossing matchings adapted to the word of ``spec``, in canonical order.
+
+    Position a may pair with b > a at odd distance carrying the same
+    letter with the opposite star.  The word is a k-fold repetition, so
+    a letter's mate sits at one residue mod the period 2p.
+    """
     _check_budget(spec.p, spec.k, budget)
-    word = build_word(spec)
-    index = [letter.index for letter in word]
-    starred = [letter.starred for letter in word]
-
-    def compatible(a: int, b: int) -> bool:
-        return index[a] == index[b] and starred[a] != starred[b]
-
-    return noncrossing_matchings(len(word), compatible)
+    letters = base_word(spec.p, spec.shift)
+    period = len(letters)
+    size = period * spec.k
+    mates = [letters.index(letter.mate()) for letter in letters]
+    return _walk([
+        tuple(b for b in range(a + 1, size, 2) if b % period == mates[a % period])
+        for a in range(size)
+    ])
 
 
 def leg_profile(pi: PairPartition, word: Sequence[Letter]) -> tuple[int, ...]:
@@ -351,7 +384,8 @@ def listed_histograms(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> list[
 
     ``hists[shift][k]`` has one monomial d0^j0 ... dp^jp per adapted
     matching of the order-k word at that shift, j its leg profile; the
-    table is built from ``enumerate_adapted`` and ``leg_profile`` alone.
+    table is built from ``enumerate_adapted`` and ``leg_profile`` alone,
+    and each word is built once, for ``leg_profile``.
     The lemma sweeps check the first-block recurrence that
     ``profile_histogram`` counts by, so they read this table instead.
     ``enumerate_adapted`` raises ``BudgetError`` at the first order over

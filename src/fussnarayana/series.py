@@ -9,7 +9,13 @@ coefficient ``[x^n] (a * b)`` from the coefficients stored so far
 truncated product), so a coefficient that depends only on lower ones is
 computed once, in increasing order (Brent and Kung, J. ACM 25, 1978).
 
-Two independent routes to the moment generating series live here:
+Two routes to the moment generating series live here.  Only the first is
+independent of the closed form in :mod:`fussnarayana.exact`: with
+symbolic d_i, ``[lambda^{n-1}] prod_i (lambda + d_i)^n`` expands term by
+term into ``prod_i C(n, m_i) d_i^{n - m_i}`` summed over
+``m_0 + ... + m_p = n - 1``, the closed form's own binomial products, so
+Lagrange inversion agreeing with the closed form checks the truncated
+products, not the theorem.
 
 * ``solve_functional_equation`` solves ``g = x * prod_i (g + d_i)`` by
   the recurrence ``g_{n+1} = [x^n] F_p`` on the partial products

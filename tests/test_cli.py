@@ -472,6 +472,31 @@ def test_diagram_index_out_of_range(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_diagram_lists_only_up_to_its_index(capsys, monkeypatch, tmp_path):
+    # drawing matching 2 of the 12 takes the first three; an index past the
+    # end counts the rest, and only to word the error
+    drawn = []
+    listing = partitions.enumerate_adapted
+
+    def counted(*args, **kwargs):
+        for pi in listing(*args, **kwargs):
+            drawn.append(pi)
+            yield pi
+
+    monkeypatch.setattr(partitions, "enumerate_adapted", counted)
+    target = tmp_path / "third.svg"
+    code, _, _ = run_cli(capsys, "diagram", "-p", "2", "-k", "3", "--index", "2",
+                         "--svg", str(target))
+    assert code == 0 and target.exists()
+    assert len(drawn) == 3
+    drawn.clear()
+    code, _, err = run_cli(capsys, "diagram", "-p", "2", "-k", "3", "--index", "999",
+                           "--svg", str(target))
+    assert code == 2
+    assert "--index 999 outside 0..11 for p=2, k=3, shift=0" in err
+    assert len(drawn) == 12
+
+
 def test_diagram_unwritable_target_is_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "x.svg"
     code, out, err = run_cli(

@@ -1,5 +1,6 @@
 """Tests for words, adapted noncrossing matchings, profiles, and the rotation."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -67,14 +68,25 @@ def test_build_word_repeats():
 
 def test_pair_partition_validation():
     PairPartition((1, 0, 3, 2))
-    with pytest.raises(ValueError):
+    not_involution = r"^match array is not a fixed-point free involution at {}$"
+    with pytest.raises(ValueError, match=r"^a pair matching needs an even number of positions$"):
         PairPartition((0, 1, 2))          # odd length
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=not_involution.format(2)):
+        PairPartition((1, 0, 4, 2))       # partner past the end
+    with pytest.raises(ValueError, match=not_involution.format(2)):
+        PairPartition((1, 0, -1, 2))      # negative partner
+    with pytest.raises(ValueError, match=not_involution.format(0)):
         PairPartition((0, 2, 1, 3))       # fixed points
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=not_involution.format(2)):
+        PairPartition((1, 0, 2, 3))       # fixed point after a good block
+    with pytest.raises(ValueError, match=not_involution.format(2)):
+        PairPartition((1, 0, 3, 1))       # 2 -> 3 but 3 -> 1
+    with pytest.raises(ValueError, match=r"^blocks cross near position 2$"):
         PairPartition((2, 3, 0, 1))       # crossing
-    with pytest.raises(ValueError):
-        PairPartition((1, 0, 2, 3))       # not an involution without fixed point
+    # blocks cross at 2 and position 4 is fixed: the whole array is checked
+    # as an involution before any crossing is looked for
+    with pytest.raises(ValueError, match=not_involution.format(4)):
+        PairPartition((2, 3, 0, 1, 4, 5))
     empty = PairPartition(())
     assert empty.size == 0 and empty.blocks() == ()
 
@@ -106,6 +118,83 @@ def test_enumeration_order_is_the_documented_one():
         "(1,8)(2,3)(4,5)(6,7)",
         "(1,8)(2,7)(3,6)(4,5)",
     ]
+
+
+def perfect_matchings(positions):
+    """Every perfect matching of ``positions``: the first pairs with each later one."""
+    if not positions:
+        yield ()
+        return
+    first, rest = positions[0], positions[1:]
+    for n, other in enumerate(rest):
+        for blocks in perfect_matchings(rest[:n] + rest[n + 1:]):
+            yield ((first, other),) + blocks
+
+
+def reference_listing(size, admissible):
+    """Match tuples of the noncrossing perfect matchings whose blocks are admissible, sorted."""
+    listed = []
+    for blocks in perfect_matchings(tuple(range(size))):
+        if not all(admissible(a, b) for a, b in blocks):
+            continue
+        if any(a < c < b < d for a, b in blocks for c, d in blocks):
+            continue
+        match = [None] * size
+        for a, b in blocks:
+            match[a], match[b] = b, a
+        listed.append(tuple(match))
+    return sorted(listed)
+
+
+def test_enumeration_is_every_adapted_matching_in_lexicographic_order():
+    for p in (1, 2, 3):
+        for k in range(0, 12 // (2 * p) + 1):
+            for shift in range(p + 1):
+                spec = WordSpec(p, shift, k)
+                word = build_word(spec)
+                expected = reference_listing(len(word), lambda a, b: word[a] == word[b].mate())
+                listed = [pi.match for pi in enumerate_adapted(spec)]
+                assert listed == expected, (p, shift, k)
+
+
+def test_filtered_matchings_are_every_compatible_one_in_lexicographic_order():
+    asked = []
+
+    def compatible(a, b):
+        asked.append((a, b))
+        return (a + 2 * b) % 5 != 0
+
+    for m in range(0, 13, 2):
+        asked.clear()
+        listed = [pi.match for pi in noncrossing_matchings(m, compatible)]
+        assert listed == reference_listing(m, compatible), m
+        assert all(a < b for a, b in asked)
+    assert len(listed) > 1  # the filter leaves more than one matching to order
+
+
+def test_listing_is_lazy(monkeypatch):
+    # the word 1 1* ... of length 30 has Catalan(15) = 9694845 adapted
+    # matchings; the first three arrive after building three
+    built = []
+
+    class Counted(PairPartition):
+        __slots__ = ()
+
+        def __init__(self, match):
+            built.append(tuple(match))
+            if len(built) > 3:
+                raise AssertionError("a fourth matching was built before it was asked for")
+            super().__init__(match)
+
+    monkeypatch.setattr(partitions, "PairPartition", Counted)
+    first = list(itertools.islice(enumerate_adapted(WordSpec(1, 0, 15), budget=30), 3))
+    adjacent = "".join(f"({a},{a + 1})" for a in range(1, 25, 2))
+    assert [pi.to_line() for pi in first] == [
+        adjacent + "(25,26)(27,28)(29,30)",
+        adjacent + "(25,26)(27,30)(28,29)",
+        adjacent + "(25,28)(26,27)(29,30)",
+    ]
+    assert len(built) == 3
 
 
 def test_enumeration_counts_match_fuss_catalan():
