@@ -36,6 +36,10 @@ from .report import Report
 from .series import lagrange_coefficient, solve_functional_equation, truncated_mul
 
 
+#: Relative error a quadrature moment's bound must certify.
+REL_TOL = 1e-8
+
+
 class QuadratureError(RuntimeError):
     """Raised when numerical integration cannot certify the requested accuracy."""
 
@@ -50,14 +54,6 @@ def _as_shapes(shapes: Sequence, order: int) -> tuple[Fraction, ...]:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     return out
-
-
-def _mp_edges(t) -> tuple[float, float]:
-    """Support edges (1 -+ sqrt(t))^2 of the shape-t law's continuous part, as floats."""
-    if t <= 0:
-        raise ValueError(f"shape parameter must be positive, got {t}")
-    root = math.sqrt(t)
-    return (1 - root) ** 2, (1 + root) ** 2
 
 
 @dataclass(frozen=True)
@@ -83,26 +79,23 @@ class MpLaw:
     @property
     def support(self) -> tuple[float, float]:
         """Endpoints of the continuous part, (1 -+ sqrt(t))^2 as floats."""
-        return _mp_edges(self.t)
+        root = math.sqrt(self.t)
+        return (1 - root) ** 2, (1 + root) ** 2
 
     def density(self, x: float) -> float:
-        return mp_density(float(self.t), x)
+        """Density of the continuous part at x (0 off support).
+
+        The atom at the origin for t < 1 is not part of the density; see
+        :attr:`atom_mass`.
+        """
+        a, b = self.support
+        if x <= a or x >= b:
+            return 0.0
+        return math.sqrt((b - x) * (x - a)) / (2 * math.pi * x)
 
     def s_transform(self, z: Fraction) -> Fraction:
         """S-transform 1/(z + t), exact on rational arguments."""
         return 1 / (Fraction(z) + self.t)
-
-
-def mp_density(t: float, x: float) -> float:
-    """Density of the continuous part of the shape-t law at x (0 off support).
-
-    The atom at the origin for t < 1 is not part of the density; see
-    :attr:`MpLaw.atom_mass`.
-    """
-    a, b = _mp_edges(t)
-    if x <= a or x >= b:
-        return 0.0
-    return math.sqrt((b - x) * (x - a)) / (2 * math.pi * x)
 
 
 @dataclass(frozen=True)
@@ -197,17 +190,18 @@ def s_transform_check(shapes: Sequence, order: int) -> Report:
     return report
 
 
-def quadrature_moments(t, order: int, rel_tol: float = 1e-8) -> list[float]:
+def quadrature_moments(t, order: int) -> list[float]:
     """Moments m_1..m_order of one law by adaptive quadrature on its density.
 
     Uses the substitution x = (a + b)/2 + (b - a) sin(theta) / 2, under
     which sqrt((b - x)(x - a)) dx becomes (b - a)^2 cos^2(theta) / 4
     d(theta); the edge singularities disappear and the integrand is
     smooth, so the estimate comes with a tight error bound.  Raises
-    :class:`QuadratureError` when the bound cannot certify ``rel_tol``.
+    :class:`QuadratureError` when the bound cannot certify ``REL_TOL``.
     """
-    t = float(t)
-    a, b = _mp_edges(t)
+    law = MpLaw(t)
+    a, b = law.support
+    t = float(law.t)
     if not 1 <= order <= 8:
         raise ValueError(f"order must lie in [1, 8], got {order}")
     center, half = (a + b) / 2, (b - a) / 2
@@ -222,10 +216,10 @@ def quadrature_moments(t, order: int, rel_tol: float = 1e-8) -> list[float]:
         value, bound = quad(integrand, -math.pi / 2, math.pi / 2,
                             epsabs=1e-14, epsrel=1e-12, limit=200)
         moment = prefactor * value
-        if bound * prefactor > rel_tol * abs(moment):
+        if bound * prefactor > REL_TOL * abs(moment):
             raise QuadratureError(
                 f"moment {k} at t={t}: error bound {bound * prefactor:.3e} "
-                f"exceeds {rel_tol:.1e} * {abs(moment):.6e}"
+                f"exceeds {REL_TOL:.1e} * {abs(moment):.6e}"
             )
         out.append(moment)
     return out

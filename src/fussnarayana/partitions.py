@@ -17,13 +17,13 @@ Adapted matchings.  A pair matching of the positions of a word W is
 adapted to W when every block joins a plain letter l to a starred copy
 l* of the same letter.  ``enumerate_adapted`` lists the noncrossing
 matchings adapted to a word lazily, in canonical order: lexicographic in
-the match array.  It builds once per word the table of each position's
-admissible partners (odd distance, same letter, opposite star) and walks
-it, always giving the first free position its next partner inside the
-open region, inside the new block before outside it.
-``noncrossing_matchings`` walks the same way a table built from a
-``compatible`` predicate.  Every listed matching is a validated
-``PairPartition``.
+the match array.  A position's admissible partners are the copies of
+its mate, at an odd distance m read off one period and every 2p after.
+The walk gives the first free position each in turn, inside the new
+block before outside it, without a partner table.
+``noncrossing_matchings`` is the same walk on the p = 1 word
+1 1* 1 1* ..., where every odd distance is admissible.  Every listed
+matching is a validated ``PairPartition``.
 
 Leg profiles.  Order the two positions of a block; the larger one is
 the block's right leg.  The profile of a matching is the vector
@@ -36,10 +36,11 @@ limit moment polynomial.
 
 Counting and listing.  ``profile_histogram`` counts matchings by
 profile with the first-block recurrence on intervals of the periodic
-word, without building a matching, and returns the profile polynomials
-of orders 0..k as ``MultiPoly``s read off one table of intervals; at
-shift 0 entry k is the limit moment polynomial P_k, and the count of one
-profile is its coefficient in ``.terms``.
+word, without building a matching; like the walk, it reads each
+block's mate distance and profile slot off one period.  It returns the
+profile polynomials of orders 0..k as ``MultiPoly``s read off one table
+of intervals; at shift 0 entry k is the limit moment polynomial P_k, and
+the count of one profile is its coefficient in ``.terms``.
 ``enumerate_adapted`` and ``leg_profile`` list and profile them one by
 one, and ``listed_histograms`` collects those brute histograms for
 every shift and order into one table of profile polynomials.  Both
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import _packed
 from .exact import _compositions
@@ -202,26 +203,41 @@ class PairPartition:
         return f"PairPartition[{self.to_line()}]"
 
 
-def _walk(partners: Sequence[Sequence[int]]) -> Iterator[PairPartition]:
-    """Noncrossing pair matchings of 0..n-1, n = len(partners), whose blocks come from a table.
+def _period(p: int, shift: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per position a of the shift-``shift`` base word: mate distance and profile slot.
 
-    ``partners[a]`` lists, ascending, the positions b > a that may close a
-    block opened at a.  The walk fills the first free position of the
-    current region, inside the new block first and outside it after, so
-    the matchings come in lexicographic order of their match arrays.
+    The odd distance m to the next copy of a's mate, and the slot of a
+    block opened at a, read off its left leg: a plain l feeds j_l and a
+    starred l* feeds j_{l-1}, the ``leg_profile`` rule seen from the left.
     """
-    size = len(partners)
+    letters = base_word(p, shift)
+    period = len(letters)
+    return (
+        tuple((letters.index(letter.mate()) - a) % period for a, letter in enumerate(letters)),
+        tuple(letter.index - letter.starred for letter in letters),
+    )
+
+
+def _walk(size: int, first: Sequence[int]) -> Iterator[PairPartition]:
+    """Noncrossing pair matchings of 0..size-1 whose blocks repeat with period P = len(first).
+
+    A block opened at a may close at a + first[a % P] (odd), then every P
+    after.  The walk fills the first free position of the current region,
+    inside the new block first and outside it after, so the matchings come
+    in lexicographic order of their match arrays.
+    """
+    period = len(first)
     match = [-1] * size
     if not size:
         yield PairPartition(match)
         return
     # A frame is a region [lo, hi), the regions still to fill after it
     # (a linked list of (lo, hi, rest)), and lo's partners not yet tried.
-    frames = [(0, size, None, iter(partners[0]))]
+    frames = [(0, size, None, iter(range(first[0], size, period)))]
     while frames:
         lo, hi, rest, untried = frames[-1]
         mid = next(untried, hi)
-        if mid >= hi:
+        if mid == hi:
             frames.pop()
             continue
         match[lo] = mid
@@ -237,24 +253,17 @@ def _walk(partners: Sequence[Sequence[int]]) -> Iterator[PairPartition]:
         else:  # every position is matched
             yield PairPartition(match)
             continue
-        frames.append((lo, hi, rest, iter(partners[lo])))
+        frames.append((lo, hi, rest, iter(range(lo + first[lo % period], hi, period))))
 
 
-def noncrossing_matchings(
-    size: int, compatible: Callable[[int, int], bool] | None = None
-) -> Iterator[PairPartition]:
-    """All noncrossing pair matchings of 0..size-1, optionally filtered.
+def noncrossing_matchings(size: int) -> Iterator[PairPartition]:
+    """All noncrossing pair matchings of 0..size-1, lazily, in lexicographic order.
 
-    ``compatible(a, b)`` (0-based, a < b) limits which positions may form
-    a block; it is asked once per pair at odd distance, up front.  The
-    matchings come lazily, in lexicographic order of their match arrays.
+    The walk of the p = 1 word 1 1* 1 1* ..., where any odd distance fits.
     """
     if size < 0 or size % 2:
         raise ValueError(f"size must be even and nonnegative, got {size}")
-    return _walk([
-        tuple(b for b in range(a + 1, size, 2) if compatible is None or compatible(a, b))
-        for a in range(size)
-    ])
+    return _walk(size, (1, 1))
 
 
 def enumerate_adapted(spec: WordSpec, budget: int = DEFAULT_BUDGET) -> Iterator[PairPartition]:
@@ -262,17 +271,11 @@ def enumerate_adapted(spec: WordSpec, budget: int = DEFAULT_BUDGET) -> Iterator[
 
     Position a may pair with b > a at odd distance carrying the same
     letter with the opposite star.  The word is a k-fold repetition, so
-    a letter's mate sits at one residue mod the period 2p.
+    those b are the copies of a's mate, one period 2p apart (``_period``).
     """
     _check_budget(spec.p, spec.k, budget)
-    letters = base_word(spec.p, spec.shift)
-    period = len(letters)
-    size = period * spec.k
-    mates = [letters.index(letter.mate()) for letter in letters]
-    return _walk([
-        tuple(b for b in range(a + 1, size, 2) if b % period == mates[a % period])
-        for a in range(size)
-    ])
+    first, _ = _period(spec.p, spec.shift)
+    return _walk(2 * spec.p * spec.k, first)
 
 
 def leg_profile(pi: PairPartition, word: Sequence[Letter]) -> tuple[int, ...]:
@@ -312,10 +315,10 @@ def profile_histogram(
     Counted by the first-block recurrence, without listing a matching.
     The word is 2p-periodic, so the histogram of an interval depends only
     on its start offset mod 2p and its length L.  The interval's first
-    position pairs with each position at odd distance m that carries
-    its mate; that block feeds the slot of its right-leg letter, the
-    ``leg_profile`` rule, and the rest splits into the inside interval
-    (offset + 1, m - 1) and the outside one (offset + m + 1, L - m - 1).
+    position pairs with each copy of its mate, at the odd distances m
+    from ``_period``; that block feeds the slot ``_period`` gives, and
+    the rest splits into the inside interval (offset + 1, m - 1) and the
+    outside one (offset + m + 1, L - m - 1).
     The order-j word is the interval (0, 2pj), so the one table of
     interval histograms, which lives for one call, holds every order.
     The budget caps 2pk exactly as for ``enumerate_adapted``.
@@ -324,17 +327,12 @@ def profile_histogram(
         _check_budget(p, k, budget)
     WordSpec(p, shift, k)  # validate arguments
     period, size = 2 * p, 2 * p * k
-    letters = base_word(p, shift)
     # Histograms are packed-key term dicts; no slot exceeds the pk blocks,
     # so radix pk + 1 packs every profile.
     radix = p * k + 1
     units = _packed.units(p + 1, radix)
-    first_mate, leg_key = [], []
-    for a, letter in enumerate(letters):
-        m = next(m for m in range(1, period, 2) if letters[(a + m) % period] == letter.mate())
-        right = letters[(a + m) % period]
-        first_mate.append(m)
-        leg_key.append(units[right.index if right.starred else right.index - 1])
+    first_mate, slots = _period(p, shift)
+    leg_key = [units[slot] for slot in slots]
 
     table: dict[tuple[int, int], dict[int, int]] = {(a, 0): {0: 1} for a in range(period)}
     for length in range(2, size + 1, 2):

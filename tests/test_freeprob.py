@@ -17,7 +17,6 @@ from fussnarayana.freeprob import (
     moments_by_closed_form,
     moments_by_lagrange,
     moments_by_series,
-    mp_density,
     quadrature_moments,
     s_transform_check,
 )
@@ -35,8 +34,8 @@ def test_law_atom_and_support():
     assert fat.atom_mass == 0
     with pytest.raises(ValueError):
         MpLaw(Fraction(0))
-    with pytest.raises(ValueError):
-        mp_density(-1.0, 1.0)
+    with pytest.raises(ValueError, match="shape parameter must be positive"):
+        quadrature_moments(-1, 2)
 
 
 def test_density_vanishes_off_support():
@@ -253,6 +252,7 @@ def test_quadrature_argument_validation():
         quadrature_moments(0, 3)
 
 
-def test_quadrature_error_reports_uncertifiable_tolerance():
+def test_quadrature_error_reports_uncertifiable_tolerance(monkeypatch):
+    monkeypatch.setattr(freeprob, "REL_TOL", 0.0)
     with pytest.raises(QuadratureError):
-        quadrature_moments(Fraction(3, 2), 4, rel_tol=0.0)
+        quadrature_moments(Fraction(3, 2), 4)
