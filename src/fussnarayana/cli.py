@@ -148,27 +148,19 @@ def cmd_poly(args) -> int:
     if args.p < 1 or args.k < 0:
         raise ValueError("need -p >= 1 and -k >= 0")
     budget = _budget()
-
-    def rendered(poly: MultiPoly) -> tuple[dict, MultiPoly]:
-        if args.vars == "t":
-            poly = poly.substitute(0, 1)
-            names = [f"t{i}" for i in range(1, args.p + 1)]
-        else:
-            names = [f"d{i}" for i in range(args.p + 1)]
-        return poly.to_json_dict(names), poly
-
+    methods = ("closed", "enumerate", "series") if args.method == "all" else (args.method,)
+    polys = [_poly_by_method(method, args.p, args.k, budget) for method in methods]
+    if args.vars == "t":
+        polys = [poly.substitute(0, 1) for poly in polys]
+        names = [f"t{i}" for i in range(1, args.p + 1)]
+    else:
+        names = [f"d{i}" for i in range(args.p + 1)]
+    docs = [poly.to_json_dict(names) for poly in polys]
     if args.method == "all":
-        out = {}
-        polys = []
-        for name in ("closed", "enumerate", "series"):
-            doc, poly = rendered(_poly_by_method(name, args.p, args.k, budget))
-            out[name] = doc
-            polys.append(poly)
-        out["agree"] = polys[0] == polys[1] == polys[2]
-        print(json.dumps(out, indent=2))
-        return 0
-    doc, _ = rendered(_poly_by_method(args.method, args.p, args.k, budget))
-    print(json.dumps(doc, indent=2))
+        out = dict(zip(methods, docs), agree=polys[0] == polys[1] == polys[2])
+    else:
+        (out,) = docs
+    print(json.dumps(out, indent=2))
     return 0
 
 

@@ -85,11 +85,7 @@ def fuss_narayana_number(k: int, index: Sequence[int]) -> int:
 
 
 def _compositions(total: int, parts: int, low: int, high: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of length ``parts`` with entries in [low, high] summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
+    """All tuples of length ``parts`` >= 1 with entries in [low, high] summing to total."""
     if parts == 1:
         if low <= total <= high:
             yield (total,)

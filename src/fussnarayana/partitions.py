@@ -323,8 +323,7 @@ def profile_histogram(
     interval histograms, which lives for one call, holds every order.
     The budget caps 2pk exactly as for ``enumerate_adapted``.
     """
-    if k:
-        _check_budget(p, k, budget)
+    _check_budget(p, k, budget)
     WordSpec(p, shift, k)  # validate arguments
     period, size = 2 * p, 2 * p * k
     # Histograms are packed-key term dicts; no slot exceeds the pk blocks,
@@ -413,69 +412,54 @@ def _table_shape(hists: Sequence[Sequence[MultiPoly]]) -> tuple[int, int]:
 
 
 def verify_shift_identity(hists: Sequence[Sequence[MultiPoly]]) -> Report:
-    """Exhaustively check the profile relation between shifted and base words.
+    """Exhaustively check d_i * H_i = d_0 * H_0 for every shift i in [1, p].
 
-    ``hists`` is a :func:`listed_histograms` table.  For every shift i in
-    [1, p], order k <= k_max, and profile vector, the number of adapted
-    matchings of the shift-i word with profile (q_0, ..., q_p) must equal
-    the number for the shift-0 word with profile
-    (q_0 - 1, ..., q_i + 1, ...).  Both directions are compared so
-    neither histogram can hide extra mass.
+    ``hists`` is a :func:`listed_histograms` table, and H_i is its
+    order-k profile polynomial at shift i, for every order k <= k_max.
+    Shifting a word moves one unit of profile from slot i to slot 0, so
+    the two monomial products must agree coefficient by coefficient.
+    Every monomial of d_0 * H_0 must fill each slot above 0, every
+    monomial of d_i * H_i must fill slot 0, and the products are compared
+    in both directions so neither can hide extra mass.
     """
     p, k_max = _table_shape(hists)
     report = Report(name=f"shift-identity p={p} k<={k_max}")
+    d = [MultiPoly.variable(p + 1, i) for i in range(p + 1)]
     for k in range(1, k_max + 1):
-        hist0 = hists[0][k].terms
-        for r in sorted(hist0):
-            report.tally(
-                all(r[i] >= 1 for i in range(1, p + 1)),
-                lambda: f"k={k}: base-word profile {r} has an empty slot above 0",
-            )
+        base = (d[0] * hists[0][k]).terms
+        for m in sorted(base):
+            report.tally(all(m[1:]), lambda: f"k={k}: d0*H0 has {m} with an empty slot above 0")
         for i in range(1, p + 1):
-            hist_i = hists[i][k].terms
-            for q, count in sorted(hist_i.items()):
-                report.tally(
-                    q[0] >= 1,
-                    lambda: f"k={k} shift={i}: profile {q} has empty slot 0",
-                )
-                if q[0] < 1:
-                    continue
-                r = list(q)
-                r[0] -= 1
-                r[i] += 1
-                r = tuple(r)
-                report.tally(
-                    count == hist0.get(r, 0),
-                    lambda: f"k={k} shift={i}: count {count} at {q} vs {hist0.get(r, 0)} at {r}",
-                )
-            for r, count in sorted(hist0.items()):
-                if r[i] < 1:
-                    continue
-                q = list(r)
-                q[0] += 1
-                q[i] -= 1
-                q = tuple(q)
-                report.tally(
-                    count == hist_i.get(q, 0),
-                    lambda: f"k={k} shift={i}: base count {count} at {r} "
-                    f"vs {hist_i.get(q, 0)} at {q}",
-                )
+            shifted = (d[i] * hists[i][k]).terms
+            for m, count in sorted(shifted.items()):
+                report.tally(m[0] >= 1,
+                             lambda: f"k={k} shift={i}: d{i}*H{i} has {m} with empty slot 0")
+                if m[0]:
+                    report.tally(count == base.get(m, 0),
+                                 lambda: f"k={k} shift={i}: d{i}*H{i} has {count} at {m}, "
+                                 f"d0*H0 has {base.get(m, 0)}")
+            for m, count in sorted(base.items()):
+                if m[i]:
+                    report.tally(count == shifted.get(m, 0),
+                                 lambda: f"k={k} shift={i}: d0*H0 has {count} at {m}, "
+                                 f"d{i}*H{i} has {shifted.get(m, 0)}")
     return report
 
 
 def verify_product_decomposition(hists: Sequence[Sequence[MultiPoly]]) -> Report:
-    """Check the product form of the profile generating series, two ways.
+    """Check H_0 - 1 = x * d_1 ... d_p * H_0 * H_1 * ... * H_p, two ways.
 
-    ``hists`` is a :func:`listed_histograms` table.  Writing G_i for the
+    ``hists`` is a :func:`listed_histograms` table.  Writing H_i for the
     generating series whose x^k coefficient is ``hists[i][k]``, the
     profile polynomial of the shift-i word, the sweep checks
 
-        G_0 - 1 = x * d_1 ... d_p * G_0 * G_1 * ... * G_p
+        H_0 - 1 = x * d_1 ... d_p * H_0 * H_1 * ... * H_p
 
-    as an identity of truncated series, and independently re-checks the
-    equivalent coefficient recurrence: the count at order k and profile
-    j equals the convolution of shift-0..p histograms at orders summing
-    to k - 1 with profile slots summing to (j_0, j_1 - 1, ..., j_p - 1).
+    as an identity of truncated series, and independently re-checks its
+    x^k coefficient for k >= 1: the order-k profile polynomial of the
+    base word equals d_1 ... d_p times the convolution of shift-0..p
+    profile polynomials at orders summing to k - 1, compared monomial by
+    monomial over both supports.
     """
     p, k_max = _table_shape(hists)
     report = Report(name=f"product-decomposition p={p} k<={k_max}")
@@ -500,22 +484,11 @@ def verify_product_decomposition(hists: Sequence[Sequence[MultiPoly]]) -> Report
             for shift, k_i in enumerate(orders):
                 term = term * hists[shift][k_i]
             convolution = convolution + term
-        base, total = hists[0][k].terms, convolution.terms
-        keys = set(base)
-        for sums in total:
-            keys.add((sums[0],) + tuple(s + 1 for s in sums[1:]))
-        for j in sorted(keys):
-            if any(j[i] < 1 for i in range(1, num_vars)):
-                lhs_count = base.get(j, 0)
-                report.tally(
-                    lhs_count == 0,
-                    lambda: f"k={k}: profile {j} with empty upper slot has count {lhs_count}",
-                )
-                continue
-            sums = (j[0],) + tuple(j[i] - 1 for i in range(1, num_vars))
+        base, total = hists[0][k].terms, (d_product * convolution).terms
+        for j in sorted(base.keys() | total.keys()):
             report.tally(
-                base.get(j, 0) == total.get(sums, 0),
-                lambda: f"k={k}: recurrence mismatch at {j}: "
-                f"{base.get(j, 0)} vs {total.get(sums, 0)}",
+                base.get(j, 0) == total.get(j, 0),
+                lambda: f"k={k}: H0 has {base.get(j, 0)} at {j}, "
+                f"d1...dp times the convolution has {total.get(j, 0)}",
             )
     return report

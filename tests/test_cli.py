@@ -39,6 +39,22 @@ def test_poly_all_methods_agree(capsys):
     assert doc["closed"] == doc["enumerate"] == doc["series"]
 
 
+@pytest.mark.parametrize("variables", ["d", "t"])
+def test_poly_all_methods_entries_are_each_methods_own_output(capsys, monkeypatch, variables):
+    monkeypatch.setenv("FN_BUDGET", "18")  # p = 3, k = 3 counts a word of length 18
+    for p in (1, 2, 3):
+        for k in range(4):
+            argv = ("poly", "-p", str(p), "-k", str(k), "--vars", variables)
+            code, out, _ = run_cli(capsys, *argv, "--all-methods")
+            assert code == 0
+            doc = json.loads(out)
+            assert doc.pop("agree") is True, (p, k)
+            assert list(doc) == ["closed", "enumerate", "series"]
+            for method, entry in doc.items():
+                code, out, _ = run_cli(capsys, *argv, f"--{method}")
+                assert code == 0 and json.loads(out) == entry, (p, k, method)
+
+
 def test_poly_order_zero_is_constant_one(capsys):
     code, out, _ = run_cli(capsys, "poly", "-p", "1", "-k", "0", "--closed")
     assert code == 0

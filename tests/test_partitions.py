@@ -212,6 +212,11 @@ def test_budget_is_enforced():
         profile_histogram(1, 9)
     # explicit larger budget unlocks the same call
     assert sum(1 for _ in enumerate_adapted(WordSpec(3, 0, 3), budget=18)) == fuss_catalan(3, 3)
+    # a negative budget refuses even the empty word, on both routes
+    with pytest.raises(BudgetError):
+        list(enumerate_adapted(WordSpec(2, 0, 0), budget=-1))
+    with pytest.raises(BudgetError):
+        profile_histogram(2, 0, budget=-1)
 
 
 def test_empty_word_conventions():
@@ -377,18 +382,22 @@ def test_iterated_rotation_maps_shifted_words_onto_base():
 
 # -- verification sweeps -----------------------------------------------------------
 
+# the check counts ``verify --suite lemmas`` prints at its default sizes
+LEMMA_CHECKS = {(1, 4): (40, 15), (2, 2): (28, 7), (3, 2): (50, 8)}
+
+
 def test_verify_shift_identity_clean():
-    for p, k_max in [(1, 4), (2, 2), (3, 2)]:
+    for (p, k_max), (checks, _) in LEMMA_CHECKS.items():
         report = verify_shift_identity(listed_histograms(p, k_max))
         assert report.ok, report.mismatches[:5]
-        assert report.checks > 0
+        assert report.checks == checks, (p, k_max)
 
 
 def test_verify_product_decomposition_clean():
-    for p, k_max in [(1, 4), (2, 2), (3, 2)]:
+    for (p, k_max), (_, checks) in LEMMA_CHECKS.items():
         report = verify_product_decomposition(listed_histograms(p, k_max))
         assert report.ok, report.mismatches[:5]
-        assert report.checks > 0
+        assert report.checks == checks, (p, k_max)
 
 
 def test_listed_histograms_are_the_brute_profile_polynomials():
@@ -428,6 +437,36 @@ def test_verify_shift_identity_catches_a_planted_count(p, k_max, shift, order):
     report = verify_shift_identity(hists)
     assert not report.ok
     assert any(m.startswith(f"k={order} shift={shift}: ") for m in report.mismatches)
+
+
+def test_verify_shift_identity_catches_a_missing_shifted_profile():
+    # a monomial gone from H_1 leaves every monomial of d1*H1 matched, so
+    # only the comparison from d0*H0 towards d1*H1 can see it
+    hists = listed_histograms(2, 2)
+    planted = hists[1][2]
+    profile = max(planted.terms)
+    hists[1][2] = planted - MultiPoly(3, {profile: planted.terms[profile]})
+    report = verify_shift_identity(hists)
+    assert len(report.mismatches) == 1, report.mismatches
+    assert report.mismatches[0].startswith("k=2 shift=1: d0*H0 has ")
+
+
+def test_verify_shift_identity_catches_a_shifted_profile_with_empty_slot_0():
+    hists = listed_histograms(2, 2)
+    assert (0, 1, 1) not in hists[1][1].terms
+    hists[1][1] = hists[1][1] + MultiPoly(3, {(0, 1, 1): 1})
+    report = verify_shift_identity(hists)
+    assert report.mismatches == ["k=1 shift=1: d1*H1 has (0, 2, 1) with empty slot 0"]
+
+
+def test_verify_product_decomposition_catches_an_empty_upper_slot():
+    # d1*d2 divides every monomial of the right side, so a base profile
+    # with j_1 = 0 has nothing to match in the coefficient check
+    hists = listed_histograms(2, 2)
+    hists[0][2] = hists[0][2] + MultiPoly(3, {(2, 0, 2): 1})
+    report = verify_product_decomposition(hists)
+    recurrence = [m for m in report.mismatches if not m.startswith("series identity")]
+    assert recurrence == ["k=2: H0 has 1 at (2, 0, 2), d1...dp times the convolution has 0"]
 
 
 @pytest.mark.parametrize("sweep", [verify_shift_identity, verify_product_decomposition])
