@@ -17,28 +17,35 @@ Every trial uses its own generator seeded as (seed, trial_index), so
 results are reproducible; trial statistics are aggregated by trial index
 after all trials finish.  Trials run side by side on a thread pool, as
 many at once as the CPUs that BLAS leaves free, the trials and the trial
-estimates that fit in ``MAX_INFLIGHT_BYTES`` allow; a trial over that
-budget runs alone, and so does every trial while BLAS takes every CPU,
-its default.  BLAS thread settings are read, never set.
+estimates that fit in ``MAX_INFLIGHT_BYTES`` allow; a trial over half
+that budget runs alone, and so does every trial while BLAS takes every
+CPU, its default.  BLAS thread settings are read, never set.
 
 The generator stream is laid out block by block, left to right, and
 within a complex block the real part is drawn before the imaginary part.
-Each complex block is one buffer whose real and imaginary parts are
-filled from the draws, and the 1/sqrt(2 n) (or 1/sqrt(n)) scale is
-applied once, to the product.  The blocks are multiplied in the order of
-fewest scalar multiply-adds (the matrix-chain dynamic program), which is
-left to right for p <= 2, and the trace powers are paired:
-Tr G^(a+b) = <G^b, G^a> for the Hermitian Gram matrix G, so orders up
-to K need ceil(K/2) - 1 matrix products.
+The blocks are multiplied in the order of fewest scalar multiply-adds
+(the matrix-chain dynamic program), which is left to right for p <= 2,
+and each block is drawn at the chain step that consumes it, so a trial
+holds only the operands of the product it is computing.  A block whose
+stream slot lies before a block a step needs is passed over: its normals
+are drawn and discarded, and the block is drawn again from the saved
+generator state at its own step.  For A1 (A2 A3) that draws A1 twice;
+left-to-right chains pass nothing over.  Normals go through one small
+scratch buffer into the real and imaginary parts of the complex block,
+and the 1/sqrt(2 n) (or 1/sqrt(n)) scale is applied once, to the
+product.  The trace powers are paired: Tr G^(a+b) = <G^b, G^a> for the
+Hermitian Gram matrix G, so orders up to K need ceil(K/2) - 1 matrix
+products.
 
 A trial's arrays must fit in ``MAX_TRIAL_BYTES``, and
 ``DimensionProfile.from_targets`` rejects larger profiles.  The estimate
-takes every array as complex and is the larger of two phases: sampling
-holds the blocks, one real draw temporary and the chain intermediates;
-the trace holds the product, its conjugate copy, the Gram matrix and two
-of its powers.  The trials in flight together hold at most the larger
-of ``MAX_INFLIGHT_BYTES`` and one trial's estimate, so the 1 GiB cap
-covers every trial in flight.
+takes every array as complex and is the largest of the chain steps and
+the trace: a step holds the intermediates waiting for a later step, its
+two operands, its output and the scratch buffer; the trace holds the
+product, its conjugate copy, the Gram matrix and two of its powers.  The
+trials in flight together hold at most the larger of
+``MAX_INFLIGHT_BYTES`` and one trial's estimate, so the 1 GiB cap covers
+every trial in flight.
 """
 
 from __future__ import annotations
@@ -67,6 +74,9 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_TH
 
 _TRIAL_OVERHEAD_BYTES = 1 << 16
 """Allowance for a trial's small objects: the generator, the moment vector and array headers."""
+
+_SCRATCH_NORMALS = 8192
+"""Length of the buffer every normal is drawn through, so no draw makes a block-sized temporary."""
 
 
 def _chain_steps(dims: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -103,16 +113,23 @@ def _chain_steps(dims: Sequence[int]) -> list[tuple[int, int, int]]:
 def _trial_bytes(dims: Sequence[int]) -> int:
     """Bytes of the arrays one complex trial holds at once, estimated.
 
-    The larger of its two phases, plus a fixed allowance for small objects.
-    Sampling holds the p blocks, one real draw temporary the size of the
-    largest block, and the intermediates of the cost-ordered chain product.
-    The trace holds the N_0 x N_p product (for p = 1, the block itself)
-    and its conj() copy, then the Gram matrix and up to two live powers
-    of it, each min(N_0, N_p)^2.
+    The largest of the chain steps and the trace, plus a fixed allowance
+    for small objects.  A step of the cost-ordered chain holds the
+    intermediates that wait for a later step, its two operands (a block
+    drawn for this step, or an intermediate), its output and the scratch
+    buffer the normals are drawn through; for p = 1 the block alone is
+    drawn.  The trace holds the N_0 x N_p product (for p = 1, the block
+    itself) and its conj() copy, then the Gram matrix and up to two live
+    powers of it, each min(N_0, N_p)^2.
     """
-    blocks = [a * b for a, b in zip(dims, dims[1:])]
-    intermediates = [dims[i] * dims[j + 1] for i, _, j in _chain_steps(dims)]
-    sampling = 16 * sum(blocks) + 8 * max(blocks) + 16 * sum(intermediates)
+    size = lambda i, j: dims[i] * dims[j + 1]  # entries of the product of blocks i..j
+    held = 0  # entries of the intermediates waiting for a later step
+    largest = size(0, len(dims) - 2)
+    for i, s, j in _chain_steps(dims):
+        held -= (size(i, s) if i < s else 0) + (size(s + 1, j) if s + 1 < j else 0)
+        largest = max(largest, held + size(i, s) + size(s + 1, j) + size(i, j))
+        held += size(i, j)
+    sampling = 16 * largest + 8 * _SCRATCH_NORMALS
     tracing = 16 * (2 * dims[0] * dims[-1] + 3 * min(dims[0], dims[-1]) ** 2)
     return max(sampling, tracing) + _TRIAL_OVERHEAD_BYTES
 
@@ -220,31 +237,77 @@ class McResult:
         return "\n".join(lines) + "\n"
 
 
+def _normals(rng: np.random.Generator, count: int, scratch: np.ndarray):
+    """Draw ``count`` standard normals into ``scratch``, a chunk at a time.
+
+    Yields each chunk with its offset; the chunks draw the same stream as
+    one call for all ``count``.
+    """
+    for start in range(0, count, scratch.size):
+        chunk = scratch[: count - start]
+        rng.standard_normal(out=chunk)
+        yield start, chunk
+
+
+def _draw_block(
+    rng: np.random.Generator, shape: tuple[int, int], ensemble: str, scratch: np.ndarray
+) -> np.ndarray:
+    """One unscaled block: real normals, or a real part then an imaginary part."""
+    if ensemble == "real":
+        return rng.standard_normal(shape)
+    block = np.empty(shape, complex)
+    flat = block.reshape(-1)
+    for part in (flat.real, flat.imag):
+        for start, chunk in _normals(rng, part.size, scratch):
+            part[start : start + chunk.size] = chunk
+    return block
+
+
 def sample_product(
     profile: DimensionProfile, rng: np.random.Generator, ensemble: str = "complex"
 ) -> np.ndarray:
     """Draw one product B of independent Gaussian blocks at the given profile.
 
-    Blocks are drawn left to right; for the complex ensemble the real
-    part of each block is drawn before its imaginary part, which pins
-    the generator stream layout for reproducibility.  The blocks are
-    multiplied in the cheapest order and the product is scaled once.
+    The generator stream holds the blocks left to right; for the complex
+    ensemble the real part of each block is drawn before its imaginary
+    part, which pins the stream layout for reproducibility.  The blocks
+    are multiplied in the cheapest order, each drawn at the step that
+    consumes it, and the product is scaled once.  A block whose stream
+    slot comes before one a step needs is passed over (drawn into the
+    scratch buffer and discarded) and drawn again from its saved state at
+    its own step, so ``rng`` ends where drawing every block in turn leaves
+    it.
     """
     if ensemble not in _ENSEMBLES:
         raise ValueError(f"ensemble must be one of {_ENSEMBLES}, got {ensemble!r}")
     dims = profile.realized
-    partial = {}  # (i, j) -> product of blocks i..j
-    for j, shape in enumerate(zip(dims, dims[1:])):
-        if ensemble == "complex":
-            block = np.empty(shape, complex)
-            block.real = rng.standard_normal(shape)
-            block.imag = rng.standard_normal(shape)
-        else:
-            block = rng.standard_normal(shape)
-        partial[j, j] = block
+    shapes = list(zip(dims, dims[1:]))
+    scratch = np.empty(_SCRATCH_NORMALS)
+    passed = {}  # block index -> generator state at its stream slot
+    fresh = 0  # the first block the stream has not reached
+
+    def block(j: int) -> np.ndarray:
+        nonlocal fresh
+        if j in passed:
+            source = np.random.Generator(type(rng.bit_generator)(0))  # seed replaced next
+            source.bit_generator.state = passed.pop(j)
+            return _draw_block(source, shapes[j], ensemble, scratch)
+        for skipped in range(fresh, j):
+            passed[skipped] = rng.bit_generator.state
+            count = (2 if ensemble == "complex" else 1) * math.prod(shapes[skipped])
+            for _ in _normals(rng, count, scratch):
+                pass
+        fresh = j + 1
+        return _draw_block(rng, shapes[j], ensemble, scratch)
+
+    partial = {}  # (i, j) -> product of blocks i..j, waiting for a later step
+
+    def operand(i: int, j: int) -> np.ndarray:
+        return block(i) if i == j else partial.pop((i, j))
+
     for i, s, j in _chain_steps(dims):
-        partial[i, j] = partial.pop((i, s)) @ partial.pop((s + 1, j))
-    (product,) = partial.values()
+        partial[i, j] = operand(i, s) @ operand(s + 1, j)
+    product = operand(0, profile.p - 1)
     product /= math.sqrt(2 * profile.n if ensemble == "complex" else profile.n) ** profile.p
     return product
 
@@ -305,7 +368,11 @@ def _workers(config: McConfig) -> int:
     """How many trials run at once.
 
     At most the CPUs that BLAS leaves free, the trials, and the trials
-    whose estimates fit in ``MAX_INFLIGHT_BYTES``, and at least one.
+    whose estimates fit in ``MAX_INFLIGHT_BYTES``, and at least one.  The
+    estimate counts only the largest chain step or the trace, since each
+    block is drawn at the step that uses it: the 4-factor chain
+    (1, 2, 1, 1/2) at n = 500 estimates 13.5 MiB, so two of its trials
+    fit.
     Trials share the usable CPUs with the threads of their BLAS calls, so
     with BLAS on every CPU (its default) they run one at a time: a second
     trial beside a multi-threaded matrix product only slows both.

@@ -12,10 +12,9 @@ whereas real entries carry an O(1/n) offset of roughly 3-4 standard
 errors at that size for k = 3.
 """
 
-import io
 import json
 import time
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager
 from fractions import Fraction
 import random
 
@@ -44,7 +43,6 @@ from fussnarayana.partitions import (
     verify_product_decomposition,
     verify_shift_identity,
 )
-from fussnarayana.cli import main as cli_main
 from fussnarayana.poly import MultiPoly
 from fussnarayana.rmt import DimensionProfile, McConfig, run_experiment
 from fussnarayana.series import lagrange_coefficient, solve_functional_equation
@@ -185,18 +183,14 @@ def test_criterion_07_quadrature_cross_check():
                 assert abs(estimate - target) <= 1e-8 * max(1.0, abs(target)), (t, k)
 
 
-def test_criterion_08_monte_carlo_gate():
+def test_criterion_08_monte_carlo_gate(request):
     with criterion(8, "Monte Carlo means within 3 SE at documented seed, deviation shrinks in n"):
         targets = (1.0, 1.5, 0.5)
-        # drive the documented command line end to end
-        buffer = io.StringIO()
-        with redirect_stdout(buffer):
-            code = cli_main(
-                ["mc", "-d", "1,1.5,0.5", "-n", "300", "-K", "3",
-                 "--trials", "200", "--seed", "7"]
-            )
+        # drive the documented command line end to end; the README test
+        # shares this one run of it
+        code, out = request.getfixturevalue("criterion_08_run")
         assert code == 0
-        doc = json.loads(buffer.getvalue())
+        doc = json.loads(out)
         assert len(doc["moments"]) == 3
         for row in doc["moments"]:
             assert abs(row["z"]) <= 3.0, (row["k"], row["z"])

@@ -4,16 +4,20 @@ Statistical assertions here run tiny configurations with fixed seeds;
 the full-size gate lives in the acceptance suite.
 """
 
+import hashlib
+import io
 import json
 import math
 import threading
 import time
 import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fussnarayana.cli import main as cli_main
 from fussnarayana.exact import limit_moment_poly
 from fussnarayana.rmt import (
     DimensionProfile,
@@ -67,11 +71,20 @@ def test_trial_memory_cap():
     with pytest.raises(ValueError, match=r"estimated 32000065536 bytes .* cap of 1073741824 bytes"):
         DimensionProfile.from_targets((1.0, 1.0), 20_000)
     assert _trial_bytes((300, 300)) == 16 * 5 * 90_000 + overhead
-    # sampling: blocks 300x450 and 450x150, draw temporary 300x450, intermediate 300x150
-    assert _trial_bytes((300, 450, 150)) == 16 * 202_500 + 8 * 135_000 + 16 * 45_000 + overhead
-    # the intermediates are those of the cheapest order, 1x1 then 400x1:
-    # the 400x400 (400x1)(1x400) is never formed
-    assert _trial_bytes((400, 1, 400, 1)) == 16 * 1200 + 8 * 400 + 16 * 401 + overhead
+    scratch = 8 * 8192
+    # the one step: blocks 300x450 and 450x150 and their 300x150 product
+    assert _trial_bytes((300, 450, 150)) == 16 * (135_000 + 67_500 + 45_000) + scratch + overhead
+    # the cheapest order is 1x1 then 400x1, so the 400x400 (400x1)(1x400)
+    # is never formed; the second step holds 400x1, 1x1 and its 400x1 output
+    assert _trial_bytes((400, 1, 400, 1)) == 16 * (400 + 1 + 400) + scratch + overhead
+    # A1 (A2 A3) at n = 500: the first step holds A2, A3 and A2 A3; the
+    # second, A1, A2 A3 and the product, each 875 000 entries; A1 is drawn
+    # at the second step, so two trials fit in the 32 MiB budget
+    assert _trial_bytes((500, 1000, 500, 250)) == 16 * 875_000 + scratch + overhead
+    # the left intermediate waits while the right one is formed:
+    # (A1 A2)(A3 A4) holds 2x2 while the second step holds 2x300, 300x2, 2x2
+    assert _chain_steps((2, 300, 2, 300, 2)) == [(0, 0, 1), (2, 2, 3), (0, 1, 3)]
+    assert _trial_bytes((2, 300, 2, 300, 2)) == 16 * (4 + 600 + 600 + 4) + scratch + overhead
 
 
 def _traced_peak(config):
@@ -89,14 +102,29 @@ def _traced_peak(config):
     (1.0, 1.0), (1.0, 3.0), (3.0, 1.0),
     (1.0, 1.5, 0.5), (0.5, 1.5, 1.0),
     (1.0, 2.0, 1.0, 0.5), (0.5, 1.0, 2.0, 1.0),
+    (1.0, 2.0, 1.0, 0.5, 1.0), (1.0, 2.0, 2.0, 1.0, 0.5),
+    (1.0, 2.0, 1.0, 0.5, 0.25, 0.5), (1.0, 2.0, 1.0, 2.0, 1.0, 0.5),
 ])
 def test_trial_bytes_bound_the_traced_peak(d, ensemble):
     # both Gram sides at p = 1..3; every order up to 9 holds the Gram matrix
-    # and two of its powers at the end, the square p = 1 case most of all
+    # and two of its powers at the end, the square p = 1 case most of all;
+    # (1, 2, 1, 1/2) and the p = 4, 5 profiles pass block 0 (and up to
+    # blocks 1 and 2) over and draw it again at a later step
     profile = DimensionProfile.from_targets(d, 100)
+    if len(d) > 4:
+        assert _chain_steps(profile.realized)[0][0] > 0
     for k_max in range(1, 10):
         config = McConfig(profile=profile, k_max=k_max, trials=2, seed=3, ensemble=ensemble)
         assert _traced_peak(config) <= _trial_bytes(profile.realized), k_max
+
+
+def test_trial_bytes_are_tight_at_the_chain_shape():
+    # the estimate is no bound in name only: at the 4-factor benchmark
+    # chain a trial's traced peak reaches at least half of it
+    profile = DimensionProfile.from_targets((1.0, 2.0, 1.0, 0.5), 500)
+    config = McConfig(profile=profile, k_max=8, trials=2, seed=7)
+    estimate = _trial_bytes(profile.realized)
+    assert estimate / 2 <= _traced_peak(config) <= estimate
 
 
 def _chain_cost(dims, steps):
@@ -164,6 +192,70 @@ def test_sample_product_keeps_the_generator_stream(p, ensemble):
         scale = np.abs(expected).max()
         np.testing.assert_allclose(product, expected, rtol=1e-12, atol=1e-12 * scale)
         assert rng.bit_generator.state == recipe_rng.bit_generator.state
+
+
+def _hold_every_block_product(profile, rng, ensemble):
+    # every block drawn up front, then the cheapest chain: the sampler whose
+    # bytes each trial reproduces while holding only one step's operands
+    dims = profile.realized
+    partial = {}
+    for j, shape in enumerate(zip(dims, dims[1:])):
+        if ensemble == "complex":
+            block = np.empty(shape, complex)
+            block.real = rng.standard_normal(shape)
+            block.imag = rng.standard_normal(shape)
+        else:
+            block = rng.standard_normal(shape)
+        partial[j, j] = block
+    for i, s, j in _chain_steps(dims):
+        partial[i, j] = partial.pop((i, s)) @ partial.pop((s + 1, j))
+    (product,) = partial.values()
+    product /= math.sqrt(2 * profile.n if ensemble == "complex" else profile.n) ** profile.p
+    return product
+
+
+@pytest.mark.parametrize("ensemble", ["complex", "real"])
+def test_sample_product_equals_holding_every_block(ensemble):
+    # random dims up to 150 give blocks past the 8192-normal scratch buffer
+    # and chains that pass blocks over; the products and the generator's
+    # final state must be those of drawing every block up front
+    dims_rng = np.random.default_rng(8)
+    passed_over = 0
+    for p in range(1, 7):
+        for case in range(6):
+            dims = tuple(int(x) for x in dims_rng.integers(1, 151, size=p + 1))
+            if case == 0 and p >= 3:
+                dims = tuple(sorted(dims, reverse=True))  # right to left is cheapest
+            profile = DimensionProfile.from_targets(dims, 1)
+            assert profile.realized == dims
+            steps = _chain_steps(dims)
+            passed_over += bool(steps) and steps[0][0] > 0
+            rng = np.random.default_rng([p, case])
+            reference_rng = np.random.default_rng([p, case])
+            product = sample_product(profile, rng, ensemble)
+            expected = _hold_every_block_product(profile, reference_rng, ensemble)
+            assert product.dtype == expected.dtype
+            assert np.array_equal(product, expected), dims
+            assert rng.bit_generator.state == reference_rng.bit_generator.state, dims
+    assert passed_over >= 10
+
+
+# sha256 of `mc -d 1,2,1,0.5 -n 60 -K 8 --trials 6 --seed 7` stdout as the
+# hold-every-block sampler printed it (numpy 2.4, OpenBLAS)
+CHAIN_DIGESTS = {
+    "complex": "8d78e366efcca880aa93b4ca60d16d0f760364643fda828b544389d5ed21f2a3",
+    "real": "e768ec4907b2af6166090c54c3c55a8fb3e2a6b716f610fa23169351b1d31390",
+}
+
+
+@pytest.mark.parametrize("ensemble", ["complex", "real"])
+def test_chain_output_bytes_are_pinned(ensemble):
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = cli_main(["mc", "-d", "1,2,1,0.5", "-n", "60", "-K", "8", "--trials", "6",
+                         "--seed", "7", "--ensemble", ensemble])
+    assert code == 0
+    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == CHAIN_DIGESTS[ensemble]
 
 
 @pytest.mark.parametrize("ensemble", ["complex", "real"])
@@ -289,10 +381,10 @@ def test_worker_count_follows_cpus_trials_and_the_inflight_budget(monkeypatch):
     gate = small_config(profile=DimensionProfile.from_targets((1.0, 1.5, 0.5), 300), trials=200)
     for cpus in (1, 2, 4):
         _pinned_cpus(monkeypatch, cpus)
-        # a 28 MB chain trial leaves no room for a second in the 32 MiB budget
-        assert _workers(chain) == 1
-        # a 5 MB gate trial fits six times
-        assert _workers(gate) == min(cpus, 6)
+        # a 14 MB chain trial fits twice in the 32 MiB budget
+        assert _workers(chain) == min(cpus, 2)
+        # a 4 MB gate trial fits eight times
+        assert _workers(gate) == min(cpus, 8)
         assert _workers(small_config(trials=2)) == min(cpus, 2)
     # trials share the CPUs with their BLAS threads: every CPU by default
     for blas_threads, workers in ((None, 1), ("4", 1), ("2", 2), ("0", 1), ("x", 1)):
