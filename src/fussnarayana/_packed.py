@@ -70,3 +70,21 @@ def product_coefficient(
     for i in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1):
         add_product(total, a[i], b[n - i])
     return total
+
+
+def square_coefficient(a: Sequence[dict[int, int]], n: int, total: dict[int, int]) -> dict[int, int]:
+    """Add ``[x^n] (a * a)`` into ``total`` and return it.
+
+    As :func:`fussnarayana.series.square_coefficient`: each unordered pair
+    a_i a_{n-i}, i < n - i, adds once into one dict, whose sum is doubled
+    into ``total``, and the middle square of an even n adds once.
+    """
+    pairs: dict[int, int] = {}
+    for i in range(max(0, n - len(a) + 1), (n + 1) // 2):
+        add_product(pairs, a[i], a[n - i])
+    get = total.get
+    for key, c in pairs.items():
+        total[key] = get(key, 0) + 2 * c
+    if n % 2 == 0 and n // 2 < len(a):
+        add_product(total, a[n // 2], a[n // 2])
+    return total

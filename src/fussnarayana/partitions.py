@@ -278,6 +278,29 @@ def enumerate_adapted(spec: WordSpec, budget: int = DEFAULT_BUDGET) -> Iterator[
     return _walk(2 * spec.p * spec.k, first)
 
 
+def _leg_codes(word: Sequence[Letter]) -> tuple[list[int], list[int]]:
+    """Per position of ``word``: its letter code and the slot a right leg there feeds.
+
+    The code of l is 2l and of l* is 2l + 1, so two letters are mates
+    exactly when their codes differ in the last bit.  A right leg l*
+    feeds j_l and a plain l feeds j_{l-1}.
+    """
+    return ([2 * letter.index + letter.starred for letter in word],
+            [letter.index - (not letter.starred) for letter in word])
+
+
+def _profile(pi: PairPartition, word: Sequence[Letter], codes: Sequence[int],
+             slots: Sequence[int], width: int) -> tuple[int, ...]:
+    """Leg profile of ``pi`` from the :func:`_leg_codes` of ``word``; raises at a block that is not adapted."""
+    profile = [0] * width
+    for i, j in enumerate(pi.match):
+        if j > i:
+            if codes[i] ^ 1 != codes[j]:
+                raise ValueError(f"block ({i + 1},{j + 1}) joins {word[i]} with {word[j]}; not adapted")
+            profile[slots[j]] += 1
+    return tuple(profile)
+
+
 def leg_profile(pi: PairPartition, word: Sequence[Letter]) -> tuple[int, ...]:
     """Profile vector (j_0, ..., j_p) of a matching adapted to ``word``.
 
@@ -289,16 +312,8 @@ def leg_profile(pi: PairPartition, word: Sequence[Letter]) -> tuple[int, ...]:
         raise ValueError(f"matching on {pi.size} positions against a length-{len(word)} word")
     if not word:
         raise ValueError("leg profile of the empty word is ambiguous; handle k = 0 upstream")
-    p = max(letter.index for letter in word)
-    profile = [0] * (p + 1)
-    for i, j in enumerate(pi.match):
-        if j < i:
-            continue
-        left, right = word[i], word[j]
-        if left.index != right.index or left.starred == right.starred:
-            raise ValueError(f"block ({i + 1},{j + 1}) joins {left} with {right}; not adapted")
-        profile[right.index if right.starred else right.index - 1] += 1
-    return tuple(profile)
+    codes, slots = _leg_codes(word)
+    return _profile(pi, word, codes, slots, max(letter.index for letter in word) + 1)
 
 
 def profile_histogram(
@@ -381,8 +396,9 @@ def listed_histograms(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> list[
 
     ``hists[shift][k]`` has one monomial d0^j0 ... dp^jp per adapted
     matching of the order-k word at that shift, j its leg profile; the
-    table is built from ``enumerate_adapted`` and ``leg_profile`` alone,
-    and each word is built once, for ``leg_profile``.
+    table is built from ``enumerate_adapted`` and the ``leg_profile``
+    rule alone.  Each word's letter codes and right-leg slots are derived
+    once, and every block of every listed matching is checked adapted.
     The lemma sweeps check the first-block recurrence that
     ``profile_histogram`` counts by, so they read this table instead.
     ``enumerate_adapted`` raises ``BudgetError`` at the first order over
@@ -394,8 +410,9 @@ def listed_histograms(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> list[
         for k in range(1, k_max + 1):
             spec = WordSpec(p, shift, k)
             word = build_word(spec)
+            codes, slots = _leg_codes(word)
             row.append(MultiPoly(p + 1, Counter(
-                leg_profile(pi, word) for pi in enumerate_adapted(spec, budget)
+                _profile(pi, word, codes, slots, p + 1) for pi in enumerate_adapted(spec, budget)
             )))
         hists.append(row)
     return hists

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from fussnarayana import cli, freeprob, partitions
+from fussnarayana import _packed, cli, freeprob, partitions, series
 from fussnarayana.report import Report
 
 
@@ -208,6 +208,43 @@ def test_verify_oracle_catches_a_planted_count(capsys, monkeypatch, p, k):
     mismatches = [m for r in doc["reports"] for m in r["mismatches"]]
     assert f"k={k}: closed form and enumeration disagree" in mismatches
     assert all(m.startswith(f"k={k}: ") for m in mismatches)
+
+
+def oracle_mismatches(capsys, pk_budget):
+    """Each oracle report's name and mismatches, once the sweep has failed."""
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--pk-budget", pk_budget)
+    doc = json.loads(out)
+    assert code == 1 and doc["ok"] is False
+    return {r["name"]: r["mismatches"] for r in doc["reports"]}
+
+
+def test_verify_oracle_catches_a_square_without_its_middle_term(capsys, monkeypatch):
+    # only a_{n/2} pairs with itself, so blanking it drops the middle square
+    # alone; that first bites at n = 2, where g_3 needs g_1^2
+    honest = _packed.square_coefficient
+
+    def no_middle(a, n, total):
+        return honest([{} if 2 * i == n else c for i, c in enumerate(a)], n, total)
+
+    monkeypatch.setattr(_packed, "square_coefficient", no_middle)
+    mismatches = oracle_mismatches(capsys, "12")
+    solver = "closed form and series solver disagree"
+    assert mismatches == {
+        "three-route agreement p=1 k<=6": [f"k={k}: {solver}" for k in range(3, 7)],
+        "three-route agreement p=2 k<=3": [f"k=3: {solver}"],
+        "three-route agreement p=3 k<=2": [],
+    }
+
+
+def test_verify_oracle_catches_elementary_polynomials_of_too_few_dims(capsys, monkeypatch):
+    honest = series._elementary
+    monkeypatch.setattr(series, "_elementary", lambda ds, *ring: honest(ds[1:], *ring))
+    mismatches = oracle_mismatches(capsys, "12")
+    solver = "closed form and series solver disagree"
+    assert mismatches == {
+        f"three-route agreement p={p} k<={k_max}": [f"k={k}: {solver}" for k in range(1, k_max + 1)]
+        for p, k_max in [(1, 6), (2, 3), (3, 2)]
+    }
 
 
 def test_verify_oracle_solves_each_series_once(capsys, monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fussnarayana import _packed
 from fussnarayana.poly import MultiPoly
-from fussnarayana.series import truncated_mul
+from fussnarayana.series import square_coefficient, truncated_mul
 
 NUM_VARS, RADIX = 3, 7
 
@@ -44,3 +44,18 @@ def test_product_coefficient_is_the_series_product(a, b):
     for n in range(order + 1):
         total = _packed.product_coefficient(packed_a, packed_b, n, {})
         assert _packed.unpack(NUM_VARS, RADIX, total) == expected[n]
+
+
+@given(st.lists(polys, min_size=1, max_size=5), polys)
+@settings(max_examples=50, deadline=None)
+def test_square_coefficient_is_the_series_square(a, start):
+    # both kernels' symmetric squares against the full product, odd and even
+    # n, past the stored coefficients, and added into a nonzero total
+    zero = MultiPoly(NUM_VARS)
+    order = 2 * len(a) - 1
+    expected = truncated_mul(a, a, order, zero)
+    packed_a = [pack(c) for c in a]
+    for n in range(order + 1):
+        assert square_coefficient(a, n, zero) == expected[n]
+        total = _packed.square_coefficient(packed_a, n, pack(start))
+        assert _packed.unpack(NUM_VARS, RADIX, total) == start + expected[n]

@@ -413,6 +413,16 @@ def test_listed_histograms_are_the_brute_profile_polynomials():
     assert hists[0][2] == limit_moment_poly(2, 2)
 
 
+def test_listed_histograms_reject_a_matching_that_is_not_adapted(monkeypatch):
+    # the listing checks every block against the word, as leg_profile does
+    def planted(spec, budget):
+        yield PairPartition.from_blocks([(1, 2), (3, 4)])  # 1 2 2* 1*: joins 1 with 2
+
+    monkeypatch.setattr(partitions, "enumerate_adapted", planted)
+    with pytest.raises(ValueError, match=r"^block \(1,2\) joins 1 with 2; not adapted$"):
+        listed_histograms(2, 1)
+
+
 @pytest.mark.parametrize("shift,order,first_failure", [(0, 1, 1), (0, 2, 2), (1, 1, 2), (2, 1, 2)])
 def test_verify_product_decomposition_catches_a_planted_coefficient(shift, order, first_failure):
     # one profile polynomial off by one: G_0 breaks the left side at its own

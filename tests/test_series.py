@@ -6,9 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fussnarayana import _packed
 from fussnarayana.exact import limit_moment_poly
 from fussnarayana.poly import MultiPoly
-from fussnarayana.series import lagrange_coefficient, solve_functional_equation, truncated_mul
+from fussnarayana.series import (
+    lagrange_coefficient,
+    product_coefficient,
+    solve_functional_equation,
+    truncated_mul,
+)
 
 
 def test_series_arithmetic_truncates():
@@ -145,6 +151,53 @@ def test_rational_solve_matches_the_fraction_recurrence(dims, order):
     assert g == fraction_recurrence(dims, order)
     for n in range(1, order + 1):
         assert lagrange_coefficient(p, n, dims) == g[n]
+
+
+def partial_product_solve(ds, zero, one, order, step):
+    """g[0..order] of g = x * prod_i (g + d_i) through the partial products.
+
+    F_i = prod_{j<=i} (g + d_j) is extended by one coefficient per order,
+    F_i = F_{i-1} * (g + d_i), and g_{n+1} = [x^n] F_p: a second recurrence
+    for the same coefficients, the reference for the solve through powers
+    of g.
+    """
+    g = [zero]
+    partial = [[one] + [zero] * order] + [[] for _ in ds]
+    for n in range(order):
+        for i, d in enumerate(ds):
+            partial[i + 1].append(step(partial[i], g, n, d))
+        g.append(partial[-1][n])
+    return g
+
+
+def fraction_step(prev, g, n, d):
+    # (g + d) has d at x^0 and g_m at x^m; g_0 = 0 drops prev[n] * g_0
+    return prev[n] * d + product_coefficient(prev, g, n, 0)
+
+
+def packed_step(prev, g, n, d):
+    # multiplying by the variable d shifts every packed key by its unit
+    return _packed.product_coefficient(prev, g, n, {key + d: c for key, c in prev[n].items()})
+
+
+@pytest.mark.parametrize("p,order", [(1, 12), (2, 8), (3, 6), (4, 5), (5, 4), (6, 4)])
+def test_symbolic_solve_matches_the_partial_product_recurrence(p, order):
+    radix = order + 1
+    reference = partial_product_solve(_packed.units(p + 1, radix), {}, {0: 1}, order, packed_step)
+    assert solve_functional_equation(p, order) == [
+        _packed.unpack(p + 1, radix, terms) for terms in reference
+    ]
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_rational_solve_matches_the_partial_product_recurrence(p):
+    # equal dims and a negative one, then the same with the last dim zero
+    dims = [Fraction(1, 2), Fraction(1, 2), Fraction(3), Fraction(-2, 5), Fraction(3),
+            Fraction(4, 3), Fraction(1, 2)][: p + 1]
+    for ds in (dims, dims[:-1] + [Fraction(0)]):
+        reference = partial_product_solve(ds, Fraction(0), Fraction(1), 14, fraction_step)
+        assert solve_functional_equation(p, 14, dims=ds) == reference
+    assert not any(reference)  # a zero dim makes g = x * g * ... vanish
 
 
 def test_lagrange_against_direct_expansion():
