@@ -10,11 +10,16 @@ Results go to stdout, diagnostics to stderr.  Exit code 0 means
 success, 1 means a verification found mismatches, 2 means a usage or
 budget error.  The environment variable ``FN_BUDGET`` overrides the
 default enumeration budget (a cap on the word length 2*p*k).
+
+``main(argv)`` may be called many times in one process.  The parser is
+built on the first call and reused by every later one; each call parses
+into a fresh namespace, and ``FN_BUDGET`` is read on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -55,7 +60,9 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r} as comma-separated numbers")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="fussnarayana",
         description="Exact moment polynomials of Gaussian matrix products, "

@@ -1,5 +1,7 @@
 """End-to-end tests of the command line surface."""
 
+import argparse
+import importlib.util
 import json
 import xml.etree.ElementTree as ET
 
@@ -149,9 +151,9 @@ def test_env_budget_override(capsys, monkeypatch):
     monkeypatch.setenv("FN_BUDGET", "18")
     code, out, _ = run_cli(capsys, "enumerate", "-p", "3", "-k", "3", "--count")
     assert code == 0 and out.strip() == "22"
-    monkeypatch.setenv("FN_BUDGET", "4")
+    monkeypatch.setenv("FN_BUDGET", "4")  # read again by this call in the same process
     code, _, err = run_cli(capsys, "enumerate", "-p", "3", "-k", "1", "--count")
-    assert code == 2 and "budget" in err
+    assert code == 2 and err.endswith("; the environment variable FN_BUDGET sets it\n")
     monkeypatch.setenv("FN_BUDGET", "nonsense")
     code, _, err = run_cli(capsys, "enumerate", "-p", "1", "-k", "1", "--count")
     assert code == 2
@@ -575,3 +577,76 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "subcommand" in out or "poly" in out
+
+
+# -- one parser per process ------------------------------------------------------
+
+def count_parsers(monkeypatch):
+    """A list that grows by one for every ``ArgumentParser`` constructed from now on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def test_main_builds_the_parser_on_its_first_call_only(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    built = count_parsers(monkeypatch)
+    per_call = []
+    for argv in (("enumerate", "-p", "2", "-k", "3"), ("poly", "-p", "1", "-k", "2"),
+                 ("moments", "-t", "1/2", "-K", "3"), ("enumerate", "-p", "2", "-k", "3")):
+        before = len(built)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        per_call.append(len(built) - before)
+    assert per_call == [7, 0, 0, 0]  # the root parser and its six subcommands
+
+
+def test_importing_cli_builds_no_parser(monkeypatch):
+    built = count_parsers(monkeypatch)
+    spec = importlib.util.find_spec("fussnarayana.cli")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert built == []
+
+
+POLY = ("poly", "-p", "2", "-k", "3")
+MOMENTS = ("moments", "-t", "1/2", "-K", "4")
+MC = ("mc", "-d", "1,1", "-n", "20", "-K", "2", "--trials", "8", "--seed", "3")
+
+
+@pytest.mark.parametrize("first,second,reference", [
+    (POLY + ("--series",), POLY, POLY + ("--closed",)),
+    (POLY + ("--vars", "t", "--all-methods"), POLY, POLY + ("--closed",)),
+    (MOMENTS + ("--quadrature",), MOMENTS, MOMENTS + ("--exact",)),
+    (MC + ("--format", "csv"), MC, MC + ("--format", "json")),
+], ids=["poly-series", "poly-all-methods", "moments-quadrature", "mc-csv"])
+def test_a_call_inherits_no_option_of_the_call_before(capsys, first, second, reference):
+    cli.build_parser.cache_clear()
+    code, expected, _ = run_cli(capsys, *reference)
+    assert code == 0
+    cli.build_parser.cache_clear()
+    assert run_cli(capsys, *first)[0] == 0
+    assert run_cli(capsys, *second)[:2] == (0, expected)
+
+
+def test_a_usage_error_or_help_leaves_later_calls_correct(capsys):
+    count = ("enumerate", "-p", "2", "-k", "3")
+    assert run_cli(capsys, *count)[:2] == (0, "12\n")
+    helps = []
+    for _ in range(2):
+        code, root_help, _ = run_cli(capsys, "--help")
+        assert code == 0
+        code, poly_help, _ = run_cli(capsys, "poly", "--help")
+        assert code == 0
+        helps.append((root_help, poly_help))
+        code, out, err = run_cli(capsys, "poly", "-p", "2")
+        assert code == 2 and out == "" and "-k" in err
+        assert run_cli(capsys, *count)[:2] == (0, "12\n")
+    assert helps[0] == helps[1]
+    assert "poly" in helps[0][0] and "--all-methods" in helps[0][1]
