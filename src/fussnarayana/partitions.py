@@ -60,12 +60,12 @@ move one unit of profile from slot 0 to slot i.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import _packed
-from .exact import _compositions
 from .poly import MultiPoly
 from .report import Report
 from .series import truncated_mul
@@ -496,7 +496,11 @@ def verify_product_decomposition(hists: Sequence[Sequence[MultiPoly]]) -> Report
 
     for k in range(1, k_max + 1):
         convolution = zero
-        for orders in _compositions(k - 1, num_vars, 0, k - 1):
+        # its own loop over order tuples, apart from the closed form's
+        # compositions, so a fault there cannot reach this check
+        for orders in itertools.product(range(k), repeat=num_vars):
+            if sum(orders) != k - 1:
+                continue
             term = one
             for shift, k_i in enumerate(orders):
                 term = term * hists[shift][k_i]

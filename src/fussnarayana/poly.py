@@ -148,8 +148,13 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MultiPoly":
+        """Repeated squaring; a one-term polynomial is raised in one step."""
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
+        if exponent and len(self.terms) == 1:
+            ((exps, coeff),) = self.terms.items()
+            power = {tuple(e * exponent for e in exps): coeff**exponent}
+            return MultiPoly._from_terms(self.num_vars, power)
         result = MultiPoly.constant(self.num_vars, 1)
         base = self
         n = exponent

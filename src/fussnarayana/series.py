@@ -204,7 +204,9 @@ def lagrange_coefficient(p: int, n: int, dims: Sequence | None = None) -> MultiP
     ``MultiPoly`` for symbolic d_i, a ``Fraction`` through the integer
     dims for rational ones.  Each ring runs the algorithm that is faster
     for it.  Symbolic d_i multiply the factors truncated above
-    lambda^(n-1), O(p n^2) products of ``MultiPoly`` coefficients.
+    lambda^(n-1), O(p n^2) products of ``MultiPoly`` coefficients; the
+    coefficients of each factor, C(n, m) d_i^(n-m), are one-term powers,
+    which ``MultiPoly.__pow__`` raises in one step without a product.
     Integer dims run Miller's power recurrence on A = prod_i (lambda +
     d_i), O(p n) integer products.  On ``MultiPoly`` coefficients that
     recurrence was 3-14 times slower, because its terms and its

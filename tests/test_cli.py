@@ -6,8 +6,10 @@ import json
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fussnarayana import _packed, cli, freeprob, partitions, series
+from fussnarayana import _packed, cli, exact, freeprob, partitions, series
 from fussnarayana.report import Report
 
 
@@ -353,6 +355,20 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert doc["reports"][0]["mismatches"] == ["forced mismatch"]
 
 
+def test_verify_lemmas_list_their_own_order_tuples(capsys, monkeypatch):
+    argv = ("verify", "--suite", "lemmas", "-p", "2", "--k-max", "4")
+    code, honest, _ = run_cli(capsys, *argv)
+    assert code == 0
+    compositions = exact._compositions
+
+    def dropping_the_last(*args):
+        return list(compositions(*args))[:-1]
+
+    monkeypatch.setattr(exact, "_compositions", dropping_the_last)
+    assert exact.vandermonde_decomposition(2, 4)[0] != exact.fuss_catalan(2, 4)
+    assert run_cli(capsys, *argv)[:2] == (0, honest)
+
+
 # -- moments -------------------------------------------------------------------------
 
 def test_moments_exact_integer_shapes(capsys):
@@ -577,6 +593,58 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "subcommand" in out or "poly" in out
+
+
+# -- JSON output -------------------------------------------------------------------
+
+json_strings = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),
+                                 st.characters()), max_size=6)
+json_docs = st.recursive(
+    st.one_of(st.booleans(), st.integers(-2**70, 2**70), json_strings),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(json_strings, children, max_size=4)),
+    max_leaves=24,
+)
+
+
+@given(json_docs)
+@settings(max_examples=300)
+def test_json_text_is_json_dumps_with_indent_two(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [1.5, None, (1, 2), {"a": [0.5]}, [{"b": None}], {1: "one"}],
+                         ids=["float", "none", "tuple", "nested-float", "nested-none", "int-key"])
+def test_json_text_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        cli._json_text(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ("poly", "-p", "2", "-k", "3"),
+    ("poly", "-p", "2", "-k", "3", "--series"),
+    ("poly", "-p", "3", "-k", "2", "--vars", "t"),
+    ("poly", "-p", "2", "-k", "3", "--all-methods"),
+    ("poly", "-p", "1", "-k", "0"),
+    ("enumerate", "-p", "2", "-k", "3", "--profiles"),
+    ("verify", "--suite", "lemmas", "-p", "1", "--k-max", "3"),
+    ("verify", "--suite", "oracle", "--pk-budget", "12"),
+    ("verify", "--suite", "freeprob", "--k-max", "3"),
+], ids=lambda argv: " ".join(argv))
+def test_json_commands_print_json_dumps_bytes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_a_failed_verify_prints_json_dumps_bytes(capsys, monkeypatch):
+    broken = Report(name="forced \"p=1\"", checks=3,
+                    mismatches=['k=1: H0 has 2 at (1, 0), "d" \\ δ', "tab\there"])
+    monkeypatch.setattr(partitions, "verify_product_decomposition", lambda *a, **kw: broken)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "lemmas", "-p", "1", "--k-max", "2")
+    assert code == 1
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert json.loads(out)["reports"][1]["mismatches"] == broken.mismatches
 
 
 # -- one parser per process ------------------------------------------------------

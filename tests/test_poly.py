@@ -240,3 +240,47 @@ def test_operation_results_are_clean(a, b, scalar, power, index):
     assert_clean(a.substitute(index, scalar))
     assert_clean((a * x).divide_by_variable(index))
     assert (a * x).divide_by_variable(index) == a
+
+
+def repeated_product(poly, power):
+    result = MultiPoly.constant(poly.num_vars, 1)
+    for _ in range(power):
+        result = result * poly
+    return result
+
+
+@given(exponents, st.integers(-10**20, 10**20).filter(bool), st.integers(0, 30))
+@settings(max_examples=100)
+def test_one_term_power_equals_repeated_product(exps, coeff, power):
+    term = MultiPoly(NUM_VARS, {exps: coeff})
+    result = term ** power
+    assert result == repeated_product(term, power)
+    assert_clean(result)
+
+
+def test_pow_of_zero_and_of_several_terms():
+    zero = MultiPoly(NUM_VARS)
+    assert zero ** 0 == MultiPoly.constant(NUM_VARS, 1)
+    assert zero ** 5 == zero
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    several = x + 2 * y - 3
+    for power in range(8):
+        assert several ** power == repeated_product(several, power)
+    assert several ** 2 == MultiPoly(2, {(2, 0): 1, (1, 1): 4, (0, 2): 4, (1, 0): -6,
+                                         (0, 1): -12, (0, 0): 9})
+    for base in (x, 2 * x, several):
+        with pytest.raises(ValueError):
+            base ** -1
+
+
+def test_one_term_power_multiplies_nothing(monkeypatch):
+    calls = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    assert MultiPoly.variable(4, 2) ** 20 == MultiPoly(4, {(0, 0, 20, 0): 1})
+    assert calls == []
