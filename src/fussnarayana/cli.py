@@ -16,6 +16,17 @@ byte-for-byte what ``json.dumps(doc, indent=2)`` prints for the same
 document; ``_json_text`` writes it without the pure-Python indenting
 encoder.
 
+Each command imports only the layers it runs.  ``poly``, ``enumerate``,
+``verify --suite oracle|lemmas`` and ``diagram`` load neither numpy nor
+scipy; ``mc`` loads numpy, through ``rmt``; ``moments`` and ``verify
+--suite freeprob`` load scipy and numpy, through ``freeprob``.  Only the
+one-shape quadrature cross-check calls scipy, but ``freeprob`` imports
+``scipy.integrate.quad`` at module level: ``bench/worker.py`` reads
+``sys.modules["scipy"]`` after its operations and finds scipy there only
+because its workloads import ``freeprob``, so that import can move into
+``quadrature_moments`` only once the worker reads scipy's version
+another way.
+
 ``main(argv)`` may be called many times in one process.  The parser is
 built on the first call and reused by every later one; each call parses
 into a fresh namespace, and ``FN_BUDGET`` is read on every call.
@@ -31,8 +42,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import exact, freeprob, partitions, rmt
-from .diagrams import write_partition_svg
+from . import exact, partitions
 from .poly import MultiPoly
 from .report import Report
 from .series import solve_functional_equation
@@ -168,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("-K", type=int, required=True, help="largest moment order")
     mc.add_argument("--trials", type=int, default=200)
     mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--ensemble", choices=rmt._ENSEMBLES, default="complex")
+    mc.add_argument("--ensemble", choices=("complex", "real"), default="complex")
     mc.add_argument("--format", choices=("json", "csv"), default="json")
     mc.set_defaults(func=cmd_mc)
 
@@ -312,6 +322,8 @@ FREEPROB_FIXTURES = (
 
 
 def _freeprob_sweep(k_max: int):
+    from . import freeprob
+
     report = Report(name=f"free convolution k<={k_max}")
     closed = {}
     for shapes in FREEPROB_FIXTURES:
@@ -333,6 +345,8 @@ def _freeprob_sweep(k_max: int):
 
 
 def cmd_moments(args) -> int:
+    from . import freeprob
+
     shapes = args.t
     if args.K < 1:
         raise ValueError("need -K >= 1")
@@ -358,6 +372,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    from . import rmt
+
     profile = rmt.DimensionProfile.from_targets(args.d, args.n)
     config = rmt.McConfig(
         profile=profile, k_max=args.K, trials=args.trials,
@@ -370,6 +386,8 @@ def cmd_mc(args) -> int:
 
 
 def cmd_diagram(args) -> int:
+    from .diagrams import write_partition_svg
+
     spec = partitions.WordSpec(args.p, args.shift, args.k)
     matchings = partitions.enumerate_adapted(spec, budget=_budget())
     # list up to --index; the rest is counted only to word an out-of-range error
@@ -395,8 +413,7 @@ def main(argv=None) -> int:
         return 0 if code in (0, None) else int(code)
     try:
         return args.func(args)
-    except (partitions.BudgetError, freeprob.QuadratureError, ValueError, ArithmeticError,
-            OSError) as exc:
+    except (partitions.BudgetError, ValueError, ArithmeticError, OSError) as exc:
         hint = ""
         if isinstance(exc, partitions.BudgetError):
             hint = "; the environment variable FN_BUDGET sets it"

@@ -40,8 +40,12 @@ from .series import lagrange_coefficient, solve_functional_equation, truncated_m
 REL_TOL = 1e-8
 
 
-class QuadratureError(RuntimeError):
-    """Raised when numerical integration cannot certify the requested accuracy."""
+class QuadratureError(ArithmeticError):
+    """Raised when numerical integration cannot certify the requested accuracy.
+
+    An ``ArithmeticError``, so the command line reports it (exit code 2)
+    without importing this module.
+    """
 
 
 def _as_shapes(shapes: Sequence, order: int) -> tuple[Fraction, ...]:

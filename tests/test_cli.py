@@ -3,13 +3,17 @@
 import argparse
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fussnarayana import _packed, cli, exact, freeprob, partitions, series
+from fussnarayana import _packed, cli, exact, freeprob, partitions, rmt, series
 from fussnarayana.report import Report
 
 
@@ -419,6 +423,16 @@ def test_moments_do_not_evaluate_the_closed_form(capsys, monkeypatch):
         ["1", "1/2"], ["2", "3/4"], ["3", "11/8"]]
 
 
+def test_a_quadrature_error_exits_two(capsys, monkeypatch):
+    def uncertified(t, order):
+        raise freeprob.QuadratureError(f"moment 1 at t={t}: error bound too large")
+
+    monkeypatch.setattr(freeprob, "quadrature_moments", uncertified)
+    code, out, err = run_cli(capsys, "moments", "-t", "1/2", "-K", "4", "--quadrature")
+    assert code == 2 and out == ""
+    assert err.startswith("error: moment 1 at t=1/2")
+
+
 def test_moments_quadrature_needs_single_shape(capsys):
     code, _, err = run_cli(capsys, "moments", "-t", "1,2", "-K", "2", "--quadrature")
     assert code == 2 and "single shape" in err
@@ -482,6 +496,14 @@ def test_mc_real_ensemble_runs(capsys):
     )
     assert code == 0
     assert json.loads(out)["config"]["ensemble"] == "real"
+
+
+def test_mc_ensemble_choices_are_the_ensembles_rmt_draws():
+    (commands,) = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    (ensemble,) = [action for action in commands.choices["mc"]._actions
+                   if action.dest == "ensemble"]
+    assert ensemble.choices == rmt._ENSEMBLES
 
 
 def test_mc_invalid_dims(capsys):
@@ -718,3 +740,32 @@ def test_a_usage_error_or_help_leaves_later_calls_correct(capsys):
         assert run_cli(capsys, *count)[:2] == (0, "12\n")
     assert helps[0] == helps[1]
     assert "poly" in helps[0][0] and "--all-methods" in helps[0][1]
+
+
+# -- imports per command ---------------------------------------------------------
+
+LOADED = """import contextlib, io, json, sys
+from fussnarayana.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+print(json.dumps([name for name in ("numpy", "scipy") if name in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("commands,loaded", [
+    (["poly -p 2 -k 3 --all-methods", "enumerate -p 2 -k 3 --profiles",
+      "verify --suite oracle --pk-budget 12", "verify --suite lemmas -p 1 --k-max 3",
+      "diagram -p 2 -k 2 --index 2 --svg arches.svg"], []),
+    (["mc -d 1,1 -n 20 -K 2 --trials 8 --seed 3"], ["numpy"]),
+], ids=["combinatorics", "mc"])
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, commands, loaded):
+    # a fresh interpreter, since this one has imported every layer
+    src = Path(cli.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    argvs = json.dumps([command.split() for command in commands])
+    run = subprocess.run([sys.executable, "-c", LOADED, argvs], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == loaded
