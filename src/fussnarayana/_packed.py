@@ -17,7 +17,7 @@ between routes.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .poly import MultiPoly
 

@@ -27,6 +27,12 @@ because its workloads import ``freeprob``, so that import can move into
 ``quadrature_moments`` only once the worker reads scipy's version
 another way.
 
+``import fussnarayana.cli`` itself loads the exact layers (``exact``,
+``partitions``, ``series``, ``poly``, ``report``) and the standard
+library's ``argparse``, ``fractions`` and ``json.encoder``; it loads no
+``dataclasses``, ``inspect`` or ``typing``.  Its records are namedtuples
+or plain classes, and its annotations name ``collections.abc``.
+
 ``main(argv)`` may be called many times in one process.  The parser is
 built on the first call and reused by every later one; each call parses
 into a fresh namespace, and ``FN_BUDGET`` is read on every call.

@@ -8,7 +8,7 @@ When a word is supplied its letters label the positions.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Sequence
+from collections.abc import Sequence
 
 from .partitions import Letter, PairPartition
 

@@ -22,7 +22,7 @@ formula fails loudly instead of silently rounding.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .poly import MultiPoly
 

@@ -61,9 +61,8 @@ move one unit of profile from slot 0 to slot i.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections import Counter, namedtuple
+from collections.abc import Iterator, Sequence
 
 from . import _packed
 from .poly import MultiPoly
@@ -86,12 +85,11 @@ def _check_budget(p: int, k: int, budget: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Letter:
+# A namedtuple, not a dataclass: importing ``dataclasses`` costs every command ~10 ms.
+class Letter(namedtuple("Letter", "index starred")):
     """One symbol of a word: a letter index with or without a star."""
 
-    index: int
-    starred: bool
+    __slots__ = ()
 
     def mate(self) -> "Letter":
         return Letter(self.index, not self.starred)
@@ -100,21 +98,20 @@ class Letter:
         return f"{self.index}*" if self.starred else f"{self.index}"
 
 
-@dataclass(frozen=True)
-class WordSpec:
+# A namedtuple, not a dataclass: importing ``dataclasses`` costs every command ~10 ms.
+class WordSpec(namedtuple("WordSpec", "p shift k")):
     """Parameters of a repeated word: p letter pairs, cyclic shift, k repetitions."""
 
-    p: int
-    shift: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"need p >= 1, got {self.p}")
-        if not 0 <= self.shift <= self.p:
-            raise ValueError(f"shift must lie in [0, p], got {self.shift}")
-        if self.k < 0:
-            raise ValueError(f"need k >= 0, got {self.k}")
+    def __new__(cls, p: int, shift: int, k: int) -> WordSpec:
+        if p < 1:
+            raise ValueError(f"need p >= 1, got {p}")
+        if not 0 <= shift <= p:
+            raise ValueError(f"shift must lie in [0, p], got {shift}")
+        if k < 0:
+            raise ValueError(f"need k >= 0, got {k}")
+        return super().__new__(cls, p, shift, k)
 
 
 def base_word(p: int, shift: int = 0) -> tuple[Letter, ...]:

@@ -18,8 +18,8 @@ the exponent vector, so equal polynomials always render identically.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 
 class MultiPoly:

@@ -61,8 +61,8 @@ Both produce the order-k moment polynomial multiplied by d0.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import _packed
 from .poly import MultiPoly

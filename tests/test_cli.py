@@ -744,12 +744,17 @@ def test_a_usage_error_or_help_leaves_later_calls_correct(capsys):
 
 # -- imports per command ---------------------------------------------------------
 
-LOADED = """import contextlib, io, json, sys
+# modules that no combinatorics command needs: the numeric stack, and
+# ``dataclasses`` with the ``inspect`` it imports
+WATCHED = ("numpy", "scipy", "dataclasses", "inspect")
+
+LOADED = f"""import contextlib, io, json, sys
 from fussnarayana.cli import main
+WATCHED = {WATCHED!r}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0, argv
-print(json.dumps([name for name in ("numpy", "scipy") if name in sys.modules]))
+print(json.dumps([name for name in WATCHED if name in sys.modules]))
 """
 
 
@@ -757,7 +762,7 @@ print(json.dumps([name for name in ("numpy", "scipy") if name in sys.modules]))
     (["poly -p 2 -k 3 --all-methods", "enumerate -p 2 -k 3 --profiles",
       "verify --suite oracle --pk-budget 12", "verify --suite lemmas -p 1 --k-max 3",
       "diagram -p 2 -k 2 --index 2 --svg arches.svg"], []),
-    (["mc -d 1,1 -n 20 -K 2 --trials 8 --seed 3"], ["numpy"]),
+    (["mc -d 1,1 -n 20 -K 2 --trials 8 --seed 3"], ["numpy", "dataclasses", "inspect"]),
 ], ids=["combinatorics", "mc"])
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, commands, loaded):
     # a fresh interpreter, since this one has imported every layer
@@ -769,3 +774,16 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, commands, loaded):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == loaded
+
+
+def test_importing_cli_without_site_loads_no_heavy_module(tmp_path):
+    # under -S no site hook has imported typing first, so the package's own imports show
+    src = Path(cli.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    heavy = ("dataclasses", "inspect", "typing", "numpy", "scipy")
+    code = f"import sys, fussnarayana.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    run = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []

@@ -12,6 +12,7 @@ from fussnarayana.exact import fuss_catalan, fuss_narayana_number, limit_moment_
 from fussnarayana.poly import MultiPoly
 from fussnarayana.partitions import (
     BudgetError,
+    Letter,
     PairPartition,
     WordSpec,
     base_word,
@@ -62,6 +63,47 @@ def test_build_word_repeats():
         WordSpec(2, 3, 1)
     with pytest.raises(ValueError):
         WordSpec(0, 0, 1)
+
+
+def test_letters_and_specs_compare_and_hash_by_value():
+    assert Letter(1, True) == Letter(index=1, starred=True) != Letter(1, False)
+    assert hash(Letter(2, False)) == hash(Letter(2, False))
+    assert WordSpec(2, 0, 3) == WordSpec(p=2, shift=0, k=3) != WordSpec(2, 1, 3)
+    assert hash(WordSpec(2, 0, 3)) == hash(WordSpec(p=2, shift=0, k=3))
+    seen = {Letter(1, True): "a", WordSpec(2, 0, 3): "b"}
+    assert seen[Letter(1, True)] == "a" and seen[WordSpec(2, 0, 3)] == "b"
+    assert Letter(1, False).mate() == Letter(1, True)
+    assert len({Letter(1, True), Letter(1, True), Letter(1, False)}) == 2
+
+
+def test_letter_and_spec_reprs():
+    assert repr(Letter(1, True)) == "Letter(index=1, starred=True)"
+    assert repr(WordSpec(p=2, shift=0, k=3)) == "WordSpec(p=2, shift=0, k=3)"
+
+
+@pytest.mark.parametrize("record,field", [
+    (Letter(1, True), "index"),
+    (Letter(1, True), "starred"),
+    (WordSpec(2, 0, 3), "k"),
+    (WordSpec(2, 0, 3), "extra"),
+])
+def test_letters_and_specs_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((0, 0, 1), "need p >= 1, got 0"),
+    ((2, 3, 1), "shift must lie in [0, p], got 3"),
+    ((2, 0, -1), "need k >= 0, got -1"),
+])
+def test_word_spec_validation_messages(args, message):
+    with pytest.raises(ValueError) as error:
+        WordSpec(*args)
+    assert str(error.value) == message
+    with pytest.raises(ValueError) as error:
+        WordSpec(p=args[0], shift=args[1], k=args[2])
+    assert str(error.value) == message
 
 
 # -- matching container --------------------------------------------------------
