@@ -33,9 +33,11 @@ library's ``argparse``, ``fractions`` and ``json.encoder``; it loads no
 ``dataclasses``, ``inspect`` or ``typing``.  Its records are namedtuples
 or plain classes, and its annotations name ``collections.abc``.
 
-``main(argv)`` may be called many times in one process.  The parser is
-built on the first call and reused by every later one; each call parses
-into a fresh namespace, and ``FN_BUDGET`` is read on every call.
+``main(argv)`` may be called many times in one process.  Each
+subcommand's parser is built on its first call, with a root parser of
+its own, and reused; a call that does not begin with a subcommand (``-h``,
+no arguments, an unknown command) builds them all.  Each call parses into
+a fresh namespace, and ``FN_BUDGET`` is read on every call.
 """
 
 from __future__ import annotations
@@ -119,83 +121,96 @@ def _json_text(doc, indent: str = "\n") -> str:
     return leaf(doc)
 
 
+# the subcommands, in the order the root usage lists them
+COMMANDS = ("poly", "enumerate", "verify", "moments", "mc", "diagram")
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by every later one."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one subcommand, or of all when ``command`` is None, built once each."""
     parser = argparse.ArgumentParser(
         prog="fussnarayana",
         description="Exact moment polynomials of Gaussian matrix products, "
         "their noncrossing enumeration, and Monte Carlo checks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # one command's usage names every command, as the full parser's does; the full
+    # parser takes no metavar, which would replace "command" in "required: command"
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    poly = sub.add_parser("poly", help="print a moment polynomial as JSON")
-    poly.add_argument("-p", type=int, required=True, help="number of matrix factors")
-    poly.add_argument("-k", type=int, required=True, help="moment order")
-    group = poly.add_mutually_exclusive_group()
-    group.add_argument("--closed", action="store_const", dest="method", const="closed",
-                       help="closed form (default)")
-    group.add_argument("--enumerate", action="store_const", dest="method", const="enumerate",
-                       help="noncrossing matchings counted by the interval recurrence")
-    group.add_argument("--series", action="store_const", dest="method", const="series",
-                       help="functional-equation series")
-    group.add_argument("--all-methods", action="store_const", dest="method", const="all",
-                       help="all three methods plus an agreement flag")
-    poly.add_argument("--vars", choices=("d", "t"), default="d",
-                      help="d: ratios d0..dp; t: shapes t1..tp (d0 = 1)")
-    poly.set_defaults(func=cmd_poly, method="closed")
+    if command in (None, "poly"):
+        poly = sub.add_parser("poly", help="print a moment polynomial as JSON")
+        poly.add_argument("-p", type=int, required=True, help="number of matrix factors")
+        poly.add_argument("-k", type=int, required=True, help="moment order")
+        group = poly.add_mutually_exclusive_group()
+        group.add_argument("--closed", action="store_const", dest="method", const="closed",
+                           help="closed form (default)")
+        group.add_argument("--enumerate", action="store_const", dest="method", const="enumerate",
+                           help="noncrossing matchings counted by the interval recurrence")
+        group.add_argument("--series", action="store_const", dest="method", const="series",
+                           help="functional-equation series")
+        group.add_argument("--all-methods", action="store_const", dest="method", const="all",
+                           help="all three methods plus an agreement flag")
+        poly.add_argument("--vars", choices=("d", "t"), default="d",
+                          help="d: ratios d0..dp; t: shapes t1..tp (d0 = 1)")
+        poly.set_defaults(func=cmd_poly, method="closed")
 
-    enum = sub.add_parser("enumerate", help="list or count adapted noncrossing matchings")
-    enum.add_argument("-p", type=int, required=True)
-    enum.add_argument("-k", type=int, required=True)
-    enum.add_argument("--shift", type=int, default=0, help="cyclic shift of the base word")
-    mode = enum.add_mutually_exclusive_group()
-    mode.add_argument("--count", action="store_const", dest="mode", const="count",
-                      help="print the count (default)")
-    mode.add_argument("--list", action="store_const", dest="mode", const="list",
-                      help="one matching per line")
-    mode.add_argument("--profiles", action="store_const", dest="mode", const="profiles",
-                      help="leg-profile histogram as JSON")
-    enum.set_defaults(func=cmd_enumerate, mode="count")
+    if command in (None, "enumerate"):
+        enum = sub.add_parser("enumerate", help="list or count adapted noncrossing matchings")
+        enum.add_argument("-p", type=int, required=True)
+        enum.add_argument("-k", type=int, required=True)
+        enum.add_argument("--shift", type=int, default=0, help="cyclic shift of the base word")
+        mode = enum.add_mutually_exclusive_group()
+        mode.add_argument("--count", action="store_const", dest="mode", const="count",
+                          help="print the count (default)")
+        mode.add_argument("--list", action="store_const", dest="mode", const="list",
+                          help="one matching per line")
+        mode.add_argument("--profiles", action="store_const", dest="mode", const="profiles",
+                          help="leg-profile histogram as JSON")
+        enum.set_defaults(func=cmd_enumerate, mode="count")
 
-    verify = sub.add_parser("verify", help="run an exhaustive verification sweep")
-    verify.add_argument("--suite", choices=("lemmas", "oracle", "freeprob"), required=True)
-    verify.add_argument("-p", type=int, default=None, help="restrict to one factor count")
-    verify.add_argument("--k-max", type=int, default=None, help="largest order to sweep")
-    verify.add_argument("--pk-budget", type=int, default=None,
-                        help="oracle suite: sweep each p <= 3 (or -p) with 2*p*k up to this cap")
-    verify.set_defaults(func=cmd_verify)
+    if command in (None, "verify"):
+        verify = sub.add_parser("verify", help="run an exhaustive verification sweep")
+        verify.add_argument("--suite", choices=("lemmas", "oracle", "freeprob"), required=True)
+        verify.add_argument("-p", type=int, default=None, help="restrict to one factor count")
+        verify.add_argument("--k-max", type=int, default=None, help="largest order to sweep")
+        verify.add_argument("--pk-budget", type=int, default=None,
+                            help="oracle suite: sweep each p <= 3 (or -p) with 2*p*k up to this cap")
+        verify.set_defaults(func=cmd_verify)
 
-    moments = sub.add_parser("moments", help="free convolution moments as CSV")
-    moments.add_argument("-t", type=_fraction_list, required=True, metavar="T1,T2,...",
-                         help="shape parameters, exact rationals like 1,1/2")
-    moments.add_argument("-K", type=int, required=True, help="largest moment order")
-    mmode = moments.add_mutually_exclusive_group()
-    mmode.add_argument("--exact", action="store_const", dest="mode", const="exact",
-                       help="exact rational moments by Lagrange inversion (default)")
-    mmode.add_argument("--quadrature", action="store_const", dest="mode", const="quadrature",
-                       help="also integrate the density numerically (one shape only)")
-    moments.set_defaults(func=cmd_moments, mode="exact")
+    if command in (None, "moments"):
+        moments = sub.add_parser("moments", help="free convolution moments as CSV")
+        moments.add_argument("-t", type=_fraction_list, required=True, metavar="T1,T2,...",
+                             help="shape parameters, exact rationals like 1,1/2")
+        moments.add_argument("-K", type=int, required=True, help="largest moment order")
+        mmode = moments.add_mutually_exclusive_group()
+        mmode.add_argument("--exact", action="store_const", dest="mode", const="exact",
+                           help="exact rational moments by Lagrange inversion (default)")
+        mmode.add_argument("--quadrature", action="store_const", dest="mode", const="quadrature",
+                           help="also integrate the density numerically (one shape only)")
+        moments.set_defaults(func=cmd_moments, mode="exact")
 
-    mc = sub.add_parser("mc", help="Monte Carlo moments of a Gaussian product")
-    mc.add_argument("-d", type=_float_list, required=True, metavar="D0,D1,...",
-                    help="target dimension ratios")
-    mc.add_argument("-n", type=int, required=True, help="scale parameter")
-    mc.add_argument("-K", type=int, required=True, help="largest moment order")
-    mc.add_argument("--trials", type=int, default=200)
-    mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--ensemble", choices=("complex", "real"), default="complex")
-    mc.add_argument("--format", choices=("json", "csv"), default="json")
-    mc.set_defaults(func=cmd_mc)
+    if command in (None, "mc"):
+        mc = sub.add_parser("mc", help="Monte Carlo moments of a Gaussian product")
+        mc.add_argument("-d", type=_float_list, required=True, metavar="D0,D1,...",
+                        help="target dimension ratios")
+        mc.add_argument("-n", type=int, required=True, help="scale parameter")
+        mc.add_argument("-K", type=int, required=True, help="largest moment order")
+        mc.add_argument("--trials", type=int, default=200)
+        mc.add_argument("--seed", type=int, default=0)
+        mc.add_argument("--ensemble", choices=("complex", "real"), default="complex")
+        mc.add_argument("--format", choices=("json", "csv"), default="json")
+        mc.set_defaults(func=cmd_mc)
 
-    diagram = sub.add_parser("diagram", help="write one matching as an SVG arch diagram")
-    diagram.add_argument("-p", type=int, required=True)
-    diagram.add_argument("-k", type=int, required=True)
-    diagram.add_argument("--shift", type=int, default=0)
-    diagram.add_argument("--index", type=int, required=True,
-                         help="position in the canonical enumeration order")
-    diagram.add_argument("--svg", required=True, metavar="PATH", help="output file")
-    diagram.set_defaults(func=cmd_diagram)
+    if command in (None, "diagram"):
+        diagram = sub.add_parser("diagram", help="write one matching as an SVG arch diagram")
+        diagram.add_argument("-p", type=int, required=True)
+        diagram.add_argument("-k", type=int, required=True)
+        diagram.add_argument("--shift", type=int, default=0)
+        diagram.add_argument("--index", type=int, required=True,
+                             help="position in the canonical enumeration order")
+        diagram.add_argument("--svg", required=True, metavar="PATH", help="output file")
+        diagram.set_defaults(func=cmd_diagram)
 
     return parser
 
@@ -411,9 +426,11 @@ def cmd_diagram(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # -h, no arguments, an unknown command or a leading option need every command
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (0, None) else int(code)

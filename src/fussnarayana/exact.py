@@ -171,5 +171,12 @@ def fuss_narayana_poly(p: int, k: int) -> MultiPoly:
     to 1.  Its value at ``(t1, ..., tp)`` is the k-th moment of the free
     multiplicative convolution of Marchenko-Pastur laws with those shape
     parameters.
+
+    P_k is homogeneous of degree ``p*k``, so dropping the d0 exponent maps
+    its terms one to one; a collision raises ``ArithmeticError``.
     """
-    return limit_moment_poly(p, k).substitute(0, 1)
+    full = limit_moment_poly(p, k).terms
+    terms = {exps[1:]: coeff for exps, coeff in full.items()}
+    if len(terms) != len(full):
+        raise ArithmeticError(f"dropping d0 merged terms of P_{k} for p={p}")
+    return MultiPoly._from_terms(p, terms)

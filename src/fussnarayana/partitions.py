@@ -61,6 +61,7 @@ move one unit of profile from slot 0 to slot i.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter, namedtuple
 from collections.abc import Iterator, Sequence
 
@@ -134,34 +135,45 @@ class PairPartition:
     """A noncrossing pair matching of positions 0..size-1.
 
     Stored as an involution array: ``match[i]`` is the partner of
-    position i.  Construction validates that the array is a fixed-point
-    free involution and that no two blocks cross.
+    position i.  Construction validates that the entries are integers
+    (``operator.index``), that the array is a fixed-point free involution
+    and that no two blocks cross; the involution is checked over the
+    whole array before a crossing is reported.
     """
 
     __slots__ = ("match",)
 
     def __init__(self, match: Sequence[int]):
-        match = tuple(map(int, match))
+        try:
+            match = tuple(map(operator.index, match))
+        except TypeError:
+            raise ValueError(f"non-integral entry in match array {match!r}") from None
         n = len(match)
         if n % 2:
             raise ValueError("a pair matching needs an even number of positions")
+        # noncrossing <=> the word of openers/closers is balanced like parentheses;
+        # up to the first crossing every closer's partner is an opener on the stack
+        stack: list[int] = []
+        crossed = None
         for i, j in enumerate(match):
             if not 0 <= j < n or j == i or match[j] != i:
                 raise ValueError(f"match array is not a fixed-point free involution at {i}")
-        # noncrossing <=> the word of openers/closers is balanced like parentheses
-        stack: list[int] = []
-        for i, j in enumerate(match):
             if j > i:
                 stack.append(i)
-            elif not stack or stack.pop() != j:
-                raise ValueError(f"blocks cross near position {i}")
+            elif crossed is None and stack.pop() != j:
+                crossed = i
+        if crossed is not None:
+            raise ValueError(f"blocks cross near position {crossed}")
         self.match = match
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]], size: int | None = None) -> "PairPartition":
         """Build from 1-based blocks, e.g. [(1, 4), (2, 3)]."""
-        pairs = [(int(a), int(b)) for a, b in blocks]
-        n = size if size is not None else 2 * len(pairs)
+        try:
+            pairs = [(operator.index(a), operator.index(b)) for a, b in blocks]
+            n = 2 * len(pairs) if size is None else operator.index(size)
+        except TypeError:
+            raise ValueError(f"blocks {blocks!r} and size {size!r} must be integers") from None
         match = [-1] * n
         for a, b in pairs:
             if not (1 <= a <= n and 1 <= b <= n):

@@ -685,16 +685,34 @@ def count_parsers(monkeypatch):
 
 
 def test_main_builds_the_parser_on_its_first_call_only(capsys, monkeypatch):
+    # a subcommand's first call builds the root parser and that subcommand's;
+    # --help needs the root parser with all six
     cli.build_parser.cache_clear()
     built = count_parsers(monkeypatch)
     per_call = []
-    for argv in (("enumerate", "-p", "2", "-k", "3"), ("poly", "-p", "1", "-k", "2"),
-                 ("moments", "-t", "1/2", "-K", "3"), ("enumerate", "-p", "2", "-k", "3")):
+    for argv in (("poly", "-p", "1", "-k", "2"), ("poly", "-p", "2", "-k", "3"),
+                 ("enumerate", "-p", "2", "-k", "3"), ("--help",),
+                 ("moments", "-t", "1/2", "-K", "3"), ("enumerate", "-p", "2", "-k", "3"),
+                 ("--help",), ("poly", "-p", "1", "-k", "2")):
         before = len(built)
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         per_call.append(len(built) - before)
-    assert per_call == [7, 0, 0, 0]  # the root parser and its six subcommands
+    assert per_call == [2, 0, 2, 7, 2, 0, 0, 0]
+
+
+# usage errors the root parser reports, help, and a subcommand's own errors
+PARSER_CASES = sorted({"", "-h", "bogus", "verify", "poly -p x -k 1", "poly -p 1 -k 2 extra",
+                       "poly -p 1 -k 2", *(f"{command} -h" for command in cli.COMMANDS)})
+
+
+@pytest.mark.parametrize("command", PARSER_CASES)
+def test_a_one_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, command):
+    argv = command.split()
+    printed = run_cli(capsys, *argv)
+    full = cli.build_parser(None)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full)
+    assert run_cli(capsys, *argv) == printed
 
 
 def test_importing_cli_builds_no_parser(monkeypatch):

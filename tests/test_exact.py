@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fussnarayana import exact
 from fussnarayana.exact import (
     binomial,
     fuss_catalan,
@@ -177,6 +178,20 @@ def test_first_ratio_times_poly_is_fully_symmetric(p, k, rng):
     rng.shuffle(perm)
     permuted = {tuple(exps[j] for j in perm): c for exps, c in poly.terms.items()}
     assert permuted == poly.terms
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_fuss_narayana_poly_is_the_closed_form_at_unit_first_ratio(p):
+    for k in range(11):
+        assert fuss_narayana_poly(p, k) == limit_moment_poly(p, k).substitute(0, 1)
+
+
+def test_fuss_narayana_poly_refuses_to_merge_terms(monkeypatch):
+    # d0 + 1 is not homogeneous: dropping d0 maps both its terms to the constant
+    skewed = MultiPoly(2, {(1, 0): 1, (0, 0): 1})
+    monkeypatch.setattr(exact, "limit_moment_poly", lambda p, k: skewed)
+    with pytest.raises(ArithmeticError, match="merged"):
+        fuss_narayana_poly(1, 1)
 
 
 def test_fuss_narayana_poly_golden():

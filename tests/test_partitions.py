@@ -129,8 +129,31 @@ def test_pair_partition_validation():
     # as an involution before any crossing is looked for
     with pytest.raises(ValueError, match=not_involution.format(4)):
         PairPartition((2, 3, 0, 1, 4, 5))
+    with pytest.raises(ValueError, match=r"^blocks cross near position 2$"):
+        PairPartition((2, 3, 0, 1, 6, 7, 4, 5))   # the first of two crossings
     empty = PairPartition(())
     assert empty.size == 0 and empty.blocks() == ()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PairPartition((1.5, 0.5)),
+    lambda: PairPartition((1.0, 0.0)),
+    lambda: PairPartition(("1", "0")),
+    lambda: PairPartition.from_blocks([(1.9, 2.2)]),
+    lambda: PairPartition.from_blocks([("1", "2")]),
+    lambda: PairPartition.from_blocks([(1, 2)], size=2.0),
+], ids=["fractional", "float", "str", "fractional-blocks", "str-blocks", "float-size"])
+def test_pair_partition_entries_must_be_integers(build):
+    # entries are read with operator.index, as MultiPoly reads exponents, not int()
+    with pytest.raises(ValueError, match=r"^non-integral entry in match array|must be integers$"):
+        build()
+
+
+def test_pair_partition_takes_numpy_integers():
+    numpy = pytest.importorskip("numpy")
+    pi = PairPartition(numpy.array([3, 2, 1, 0]))
+    assert pi == PairPartition((3, 2, 1, 0)) and all(type(j) is int for j in pi.match)
+    assert PairPartition.from_blocks(numpy.array([[1, 4], [2, 3]])) == pi
 
 
 def test_blocks_and_text_form():
