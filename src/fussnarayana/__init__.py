@@ -4,9 +4,10 @@ Layers, from the inside out:
 
 * :mod:`~fussnarayana.poly` and :mod:`~fussnarayana.series`: the
   polynomial ring over the integers and truncated-series arithmetic,
-  whose solves run on Python ints.  A private kernel, ``_packed``,
-  stores monomials as one int each for the series solver and the
-  interval counter.
+  one kernel for every coefficient ring, which supplies only its
+  multiply-accumulate.  A private module, ``_packed``, stores monomials
+  as one int each, with the accumulate that the series solver and the
+  interval counter run on.
 * :mod:`~fussnarayana.exact`: closed-form Fuss-Catalan and
   Fuss-Narayana counts and the limit moment polynomials.
 * :mod:`~fussnarayana.partitions`: noncrossing pair matchings adapted

@@ -9,15 +9,15 @@ reaches the radix, so each caller derives its radix from a bound on a
 single exponent of everything it stores, and :func:`unpack` turns the
 result into a :class:`~fussnarayana.poly.MultiPoly` once at the end.
 
-The series solver and the interval counter of ``partitions`` run on
-this.  The closed form, the brute listing and Lagrange inversion stay on
-``MultiPoly`` on purpose, so a packing bug shows up as a disagreement
-between routes.
+The series solver runs the one truncated-series kernel of
+:mod:`fussnarayana.series` on these dicts, with :func:`add_product` as
+the ring's multiply-accumulate; the interval counter of ``partitions``
+calls :func:`add_product` directly.  The closed form, the brute listing
+and Lagrange inversion stay on ``MultiPoly`` on purpose, so a packing
+bug shows up as a disagreement between routes.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 from .poly import MultiPoly
 
@@ -40,13 +40,16 @@ def unpack(num_vars: int, radix: int, terms: dict[int, int]) -> MultiPoly:
 
 
 def add_product(
-    total: dict[int, int], a: dict[int, int], b: dict[int, int], shift: int = 0
+    total: dict[int, int] | None, a: dict[int, int], b: dict[int, int], shift: int = 0
 ) -> dict[int, int]:
     """Add ``a * b``, times the monomial with packed key ``shift``, into ``total``.
 
     Every pair product of terms goes straight into the one dict, so no
-    polynomial is built for the product.  Returns ``total``.
+    polynomial is built for the product.  Returns ``total``, a new dict
+    if it is ``None``, the empty sum.
     """
+    if total is None:
+        total = {}
     get = total.get
     b_items = b.items()
     for key_a, c_a in a.items():
@@ -54,37 +57,4 @@ def add_product(
         for key_b, c_b in b_items:
             key = key_a + key_b
             total[key] = get(key, 0) + c_a * c_b
-    return total
-
-
-def product_coefficient(
-    a: Sequence[dict[int, int]], b: Sequence[dict[int, int]], n: int, total: dict[int, int]
-) -> dict[int, int]:
-    """Add ``[x^n] (a * b)`` into ``total`` and return it.
-
-    ``a`` and ``b`` are series with packed-term coefficients; as in
-    :func:`fussnarayana.series.product_coefficient`, only index pairs
-    inside both sequences contribute.  All pairs add into ``total``, so
-    no polynomial is built per index pair.
-    """
-    for i in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1):
-        add_product(total, a[i], b[n - i])
-    return total
-
-
-def square_coefficient(a: Sequence[dict[int, int]], n: int, total: dict[int, int]) -> dict[int, int]:
-    """Add ``[x^n] (a * a)`` into ``total`` and return it.
-
-    As :func:`fussnarayana.series.square_coefficient`: each unordered pair
-    a_i a_{n-i}, i < n - i, adds once into one dict, whose sum is doubled
-    into ``total``, and the middle square of an even n adds once.
-    """
-    pairs: dict[int, int] = {}
-    for i in range(max(0, n - len(a) + 1), (n + 1) // 2):
-        add_product(pairs, a[i], a[n - i])
-    get = total.get
-    for key, c in pairs.items():
-        total[key] = get(key, 0) + 2 * c
-    if n % 2 == 0 and n // 2 < len(a):
-        add_product(total, a[n // 2], a[n // 2])
     return total

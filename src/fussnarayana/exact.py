@@ -22,6 +22,7 @@ formula fails loudly instead of silently rounding.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator, Sequence
 
 from .poly import MultiPoly
@@ -72,7 +73,10 @@ def fuss_narayana_number(k: int, index: Sequence[int]) -> int:
     """
     if k < 1:
         raise ValueError(f"fuss_narayana_number requires k >= 1, got k={k}")
-    js = tuple(int(j) for j in index)
+    try:
+        js = tuple(map(operator.index, index))
+    except TypeError:
+        raise ValueError(f"non-integral entry in index vector {index!r}") from None
     if not js:
         raise ValueError("index vector must be nonempty")
     p = len(js) - 1
@@ -107,7 +111,7 @@ def vandermonde_decomposition(p: int, k: int) -> tuple[int, int]:
     the equality rather than trust either formula alone.
     """
     if p < 1 or k < 1:
-        raise ValueError(f"vandermonde_decomposition requires p >= 1 and k >= 1")
+        raise ValueError(f"vandermonde_decomposition requires p >= 1 and k >= 1, got p={p}, k={k}")
     refined = sum(fuss_narayana_number(k, js) for js in _compositions(p * k + 1, p + 1, 1, k))
     return refined, fuss_catalan(p, k)
 

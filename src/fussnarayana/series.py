@@ -2,14 +2,19 @@
 
 The kernel works on coefficient lists ``c[0..K]``, standing for
 ``c_0 + c_1 x + ... + c_K x^K + O(x^{K+1})``, over any ring whose
-elements multiply and add: Python ints, exact rationals or
-:class:`~fussnarayana.poly.MultiPoly`.  Its operation is the product
+elements can be multiplied and added.  Its operation is the product
 coefficient ``[x^n] (a * b)`` from the coefficients stored so far
 (:func:`product_coefficient`, and :func:`truncated_mul` for a whole
 truncated product), so a coefficient that depends only on lower ones is
 computed once, in increasing order (Brent and Kung, J. ACM 25, 1978).
 A square ``[x^n] (a * a)`` has its own coefficient,
 :func:`square_coefficient`, which multiplies each unordered pair once.
+These two functions alone decide which index pairs form ``[x^n]``; a
+ring supplies only its multiply-accumulate ``add_product(total, a, b)``.
+The default, ``total + a * b``, serves Python ints, exact rationals and
+:class:`~fussnarayana.poly.MultiPoly`; packed-key term dicts pass
+:func:`fussnarayana._packed.add_product`, which adds every pair product
+into one dict.
 
 Two routes to the moment generating series live here.  Only the first is
 independent of the closed form in :mod:`fussnarayana.exact`: with
@@ -31,14 +36,13 @@ products, not the theorem.
   power of g, so its coefficients have fewer terms than those of the
   partial products ``prod_{j<=i} (g + d_j)``: 16 848 against 39 785
   through (p, K) = (4, 14).
-  One loop serves two rings.  With symbolic d_i the coefficients are
-  packed-key term dicts (:mod:`fussnarayana._packed`), whose products
-  add every pair product into one dict, and are turned into
-  ``MultiPoly`` once at the end.  With rational d_i the loop runs on
-  Python ints: g_n is homogeneous of degree pn + 1 in the d_i, so the
-  solver scales the d_i by the lcm q of their denominators, solves over
-  the integers with :func:`product_coefficient` and
-  :func:`square_coefficient`, and divides g_n by q^{pn+1} once, in one
+  One loop, :func:`_solve`, serves two rings.  With symbolic d_i the
+  coefficients are packed-key term dicts (:mod:`fussnarayana._packed`),
+  accumulated by its ``add_product``, and are turned into ``MultiPoly``
+  once at the end.  With rational d_i the loop runs on Python ints with
+  the default accumulate: g_n is homogeneous of degree pn + 1 in the
+  d_i, so the solver scales the d_i by the lcm q of their denominators,
+  solves over the integers and divides g_n by q^{pn+1} once, in one
   ``Fraction`` per order.
 
 * ``lagrange_coefficient`` extracts the same coefficient via Lagrange
@@ -53,7 +57,7 @@ products, not the theorem.
   products in all.  On ``MultiPoly`` coefficients the recurrence was
   3-14 times slower than the truncated products, because its terms and
   its division by m * A(0) work on whole polynomials.  It stays off the
-  packed kernel, so it checks that kernel independently.
+  packed ring, so it checks that ring independently.
 
 Both produce the order-k moment polynomial multiplied by d0.
 """
@@ -68,18 +72,24 @@ from . import _packed
 from .poly import MultiPoly
 
 
-def product_coefficient(a: Sequence, b: Sequence, n: int, zero):
-    """``[x^n] (a * b)`` from the coefficients stored in ``a`` and ``b``.
+def _add_product(total, a, b):
+    """The default multiply-accumulate, ``total + a * b``; ``None`` is the empty sum."""
+    return a * b if total is None else total + a * b
+
+
+def product_coefficient(a: Sequence, b: Sequence, n: int, zero, add_product=_add_product):
+    """``[x^n] (a * b)`` from the coefficients stored in ``a`` and ``b``, added into ``zero``.
 
     Only index pairs inside both sequences contribute, so a series whose
     coefficients are still being computed takes part with those it has.
-    Zero coefficients are skipped; ``zero`` is the ring's zero.
+    Zero coefficients are skipped.  ``add_product(total, a_i, b_j)``, the
+    ring's multiply-accumulate, returns the total with a_i b_j added.
     """
     total = zero
     for i in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1):
         a_i, b_j = a[i], b[n - i]
         if a_i and b_j:
-            total = total + a_i * b_j
+            total = add_product(total, a_i, b_j)
     return total
 
 
@@ -88,50 +98,53 @@ def truncated_mul(a: Sequence, b: Sequence, order: int, zero) -> list:
     return [product_coefficient(a, b, n, zero) for n in range(order + 1)]
 
 
-def square_coefficient(a: Sequence, n: int, zero):
-    """``[x^n] (a * a)`` from the coefficients stored in ``a``.
+def square_coefficient(a: Sequence, n: int, zero, add_product=_add_product, two=2):
+    """``[x^n] (a * a)`` from the coefficients stored in ``a``, added into ``zero``.
 
     The product is symmetric, so each unordered pair a_i a_{n-i}, i < n - i,
-    is multiplied once and the sum doubled; the middle square a_{n/2}^2 of
-    an even n is added once.  Half the pair products of
-    ``product_coefficient(a, a, n, zero)``, and the same value.
+    is multiplied once into a pair sum, added in times ``two``, the ring's
+    2; the middle square a_{n/2}^2 of an even n is added once.  Half the
+    pair products of :func:`product_coefficient`, and the same value.  The
+    pair sum starts as ``None``, the empty sum, which ``add_product`` takes.
     """
-    pairs = zero
+    pairs = None
     for i in range(max(0, n - len(a) + 1), (n + 1) // 2):
         a_i, a_j = a[i], a[n - i]
         if a_i and a_j:
-            pairs = pairs + a_i * a_j
-    total = pairs + pairs
+            pairs = add_product(pairs, a_i, a_j)
+    total = zero if pairs is None else add_product(zero, pairs, two)
     if n % 2 == 0 and n // 2 < len(a) and a[n // 2]:
-        total = total + a[n // 2] * a[n // 2]
+        total = add_product(total, a[n // 2], a[n // 2])
     return total
 
 
-def _elementary(ds: Sequence, one, zero, product) -> list:
+def _elementary(ds: Sequence, one, zero, add_product) -> list:
     """``e[m] = e_m(d)``, m = 0..p+1: the coefficients of prod_i (1 + d_i t), in the solve's ring."""
     e = [one]
     for d in ds:
-        e = [product(e, [one, d], m, zero()) for m in range(len(e) + 1)]
+        e = [product_coefficient(e, [one, d], m, zero(), add_product) for m in range(len(e) + 1)]
     return e
 
 
-def _solve(ds: Sequence, one, order: int, zero, product, square) -> list:
+def _solve(ds: Sequence, one, order: int, zero, add_product=_add_product) -> list:
     """g[0..order] of g = x * prod_i (g + d_i) = x * sum_j e_{p+1-j} g^j, in one ring.
 
-    ``zero()`` makes the ring's zero, ``product(a, b, n, zero())`` returns
-    ``[x^n] (a * b)`` and ``square(a, n, zero())`` returns ``[x^n] (a * a)``.
+    The ring is its ``one``, a factory ``zero()`` of its zero and its
+    multiply-accumulate ``add_product``, which :func:`product_coefficient`
+    and :func:`square_coefficient` run on; its 2 is ``one*one + one*one``.
     """
     p = len(ds) - 1
-    e = _elementary(ds, one, zero, product)
+    e = _elementary(ds, one, zero, add_product)
+    two = add_product(add_product(None, one, one), one, one)
     g = [zero()]
     # power[j][n] = [x^n] g^j, filled one order at a time; power[0] is the series 1
     power = [[one] + [zero() for _ in range(order)], g] + [[] for _ in range(p)]
     for n in range(order):
-        power[2].append(square(g, n, zero()))
+        power[2].append(square_coefficient(g, n, zero(), add_product, two))
         for j in range(3, p + 2):
-            power[j].append(product(g, power[j - 1], n, zero()))
+            power[j].append(product_coefficient(g, power[j - 1], n, zero(), add_product))
         # g_{n+1} = sum_j e_{p+1-j} [x^n] g^j
-        g.append(product(e, [row[n] for row in power], p + 1, zero()))
+        g.append(product_coefficient(e, [row[n] for row in power], p + 1, zero(), add_product))
     return g
 
 
@@ -184,7 +197,7 @@ def solve_functional_equation(
         # meets the bound, so the radix is tight.
         radix = order + 1
         ds = [{unit: 1} for unit in _packed.units(p + 1, radix)]
-        g = _solve(ds, {0: 1}, order, dict, _packed.product_coefficient, _packed.square_coefficient)
+        g = _solve(ds, {0: 1}, order, dict, _packed.add_product)
         return [_packed.unpack(p + 1, radix, terms) for terms in g]
     # Homogeneity: if g(x) solves the equation at d, then h(x) = q g(q^p x)
     # solves it at q d, since x prod_i (h + q d_i) = q^{p+1} x prod_i
@@ -192,7 +205,7 @@ def solve_functional_equation(
     # q^p x.  So G_n = g_n(q d) = q^{pn+1} g_n(d), and with q the lcm of
     # the denominators the loop sees only ints.
     q, ds = _integer_dims(p, dims)
-    big = _solve(ds, 1, order, int, product_coefficient, square_coefficient)
+    big = _solve(ds, 1, order, int)
     return [Fraction(coefficient, q ** (p * n + 1)) for n, coefficient in enumerate(big)]
 
 

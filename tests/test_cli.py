@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fussnarayana import _packed, cli, exact, freeprob, partitions, rmt, series
+from fussnarayana import cli, exact, freeprob, partitions, rmt, series
 from fussnarayana.report import Report
 
 
@@ -227,14 +227,15 @@ def oracle_mismatches(capsys, pk_budget):
 
 
 def test_verify_oracle_catches_a_square_without_its_middle_term(capsys, monkeypatch):
-    # only a_{n/2} pairs with itself, so blanking it drops the middle square
-    # alone; that first bites at n = 2, where g_3 needs g_1^2
-    honest = _packed.square_coefficient
+    # only a_{n/2} pairs with itself, so blanking it (the kernel skips a falsy
+    # coefficient) drops the middle square alone; that first bites at n = 2,
+    # where g_3 needs g_1^2
+    honest = series.square_coefficient
 
-    def no_middle(a, n, total):
-        return honest([{} if 2 * i == n else c for i, c in enumerate(a)], n, total)
+    def no_middle(a, n, *ring):
+        return honest([None if 2 * i == n else c for i, c in enumerate(a)], n, *ring)
 
-    monkeypatch.setattr(_packed, "square_coefficient", no_middle)
+    monkeypatch.setattr(series, "square_coefficient", no_middle)
     mismatches = oracle_mismatches(capsys, "12")
     solver = "closed form and series solver disagree"
     assert mismatches == {

@@ -87,6 +87,19 @@ def test_fuss_narayana_number_small_cases():
         fuss_narayana_number(2, ())
 
 
+@pytest.mark.parametrize("index", [(1.5, 3, 3), (2.9, 3, 2), ("2", 3, 2)], ids=repr)
+def test_fuss_narayana_number_rejects_non_integral_entries(index):
+    # int() would read these as (1, 3, 3), (2, 3, 2) and (2, 3, 2), counts 1 and 3
+    with pytest.raises(ValueError, match="non-integral entry"):
+        fuss_narayana_number(3, index)
+
+
+@pytest.mark.parametrize("p,k", [(0, 2), (2, 0)])
+def test_vandermonde_decomposition_names_bad_arguments(p, k):
+    with pytest.raises(ValueError, match=f"got p={p}, k={k}"):
+        vandermonde_decomposition(p, k)
+
+
 def test_fuss_narayana_number_against_brute_sum():
     # independent check: summing over the full support recovers fuss_catalan
     for p, k in [(1, 4), (2, 3), (3, 2)]:

@@ -2,7 +2,9 @@
 
 No linter runs in CI, so this parses each file with ``ast`` and fails on
 a name bound by an import and never read.  ``from __future__`` imports
-are skipped.
+are skipped.  In the same way, every private module-level function or
+class of the package, and every function of the packed-key kernel, is
+referenced somewhere in the package outside its own definition.
 
 The routes that check the packed-key kernel stay off it: the closed form
 does not import it, even indirectly, and neither Lagrange inversion
@@ -49,6 +51,69 @@ def test_scanner_flags_an_unused_name():
 @pytest.mark.parametrize("path", FILES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def references(tree: ast.Module, module: str, target: str, name: str, skip: frozenset) -> bool:
+    """Whether ``tree``, the source of ``module``, names ``target.name``.
+
+    Inside ``target`` itself a read of the bare name counts; elsewhere
+    ``target.name`` or an import of ``name`` from ``target``.  Nodes
+    whose id is in ``skip`` are not looked at.
+    """
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if module == target:
+            if isinstance(node, ast.Name) and node.id == name:
+                return True
+        elif isinstance(node, ast.Attribute):
+            if node.attr == name and isinstance(node.value, ast.Name) and node.value.id == target:
+                return True
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == target:
+            if any(alias.name == name for alias in node.names):
+                return True
+    return False
+
+
+def unreferenced_definitions(sources: dict[str, str], public: tuple[str, ...] = ()) -> list[str]:
+    """Definitions in ``sources`` (module name to source) that nothing else names.
+
+    Checked are the module-level functions and classes whose name starts
+    with ``_``, and every module-level function of the modules in
+    ``public``.  A reference from inside the definition itself does not
+    count.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or (module in public and isinstance(node, ast.FunctionDef)):
+                inside = frozenset(id(child) for child in ast.walk(node))
+                if not any(references(other_tree, other, module, node.name, inside)
+                           for other, other_tree in trees.items()):
+                    found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_dead_code_scanner_flags_an_unreferenced_definition():
+    # a read in the module, an import and an attribute of the module count;
+    # a call from inside the definition itself, or a namesake elsewhere, does not
+    sources = {
+        "a": "def _read():\n    pass\n\ndef _imported():\n    pass\n\n"
+             "def _recursive():\n    return _recursive()\n\nclass _Unused:\n    pass\n\n"
+             "def kernel():\n    return _read()\n\ndef helper():\n    pass\n",
+        "b": "from . import a\nfrom .a import _imported\n\n"
+             "def helper():\n    return a.kernel, _Unused, c.helper\n",
+    }
+    assert unreferenced_definitions(sources) == ["a._recursive", "a._Unused"]
+    assert unreferenced_definitions(sources, ("a",)) == ["a._recursive", "a._Unused", "a.helper"]
+
+
+def test_no_dead_private_definitions():
+    sources = {path.stem: path.read_text() for path in ROOT.glob("src/fussnarayana/*.py")}
+    assert unreferenced_definitions(sources, ("_packed",)) == []
 
 
 def package_imports(name: str) -> set[str]:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fussnarayana import _packed
 from fussnarayana.poly import MultiPoly
-from fussnarayana.series import square_coefficient, truncated_mul
+from fussnarayana.series import product_coefficient, square_coefficient, truncated_mul
 
 NUM_VARS, RADIX = 3, 7
 
@@ -34,28 +34,32 @@ def test_add_product_is_the_polynomial_product(a, b):
     assert _packed.unpack(NUM_VARS, RADIX, total) == a + a * b * d1
 
 
-@given(st.lists(polys, min_size=1, max_size=3), st.lists(polys, min_size=1, max_size=3))
+@given(st.lists(polys, min_size=1, max_size=3), st.lists(polys, min_size=1, max_size=3), polys)
 @settings(max_examples=50, deadline=None)
-def test_product_coefficient_is_the_series_product(a, b):
-    # series whose coefficients are still being filled take part with those they have
+def test_product_coefficient_is_the_series_product(a, b, start):
+    # the series kernel on packed dicts: series whose coefficients are still
+    # being filled take part with those they have, added into a nonzero total
     order = len(a) + len(b) - 2
     expected = truncated_mul(a, b, order, MultiPoly(NUM_VARS))
     packed_a, packed_b = [pack(c) for c in a], [pack(c) for c in b]
     for n in range(order + 1):
-        total = _packed.product_coefficient(packed_a, packed_b, n, {})
+        total = product_coefficient(packed_a, packed_b, n, {}, _packed.add_product)
         assert _packed.unpack(NUM_VARS, RADIX, total) == expected[n]
+        total = product_coefficient(packed_a, packed_b, n, pack(start), _packed.add_product)
+        assert _packed.unpack(NUM_VARS, RADIX, total) == start + expected[n]
 
 
 @given(st.lists(polys, min_size=1, max_size=5), polys)
 @settings(max_examples=50, deadline=None)
 def test_square_coefficient_is_the_series_square(a, start):
-    # both kernels' symmetric squares against the full product, odd and even
-    # n, past the stored coefficients, and added into a nonzero total
+    # the symmetric square in both rings against the full product, odd and
+    # even n, past the stored coefficients, and added into a nonzero total
     zero = MultiPoly(NUM_VARS)
     order = 2 * len(a) - 1
     expected = truncated_mul(a, a, order, zero)
     packed_a = [pack(c) for c in a]
     for n in range(order + 1):
         assert square_coefficient(a, n, zero) == expected[n]
-        total = _packed.square_coefficient(packed_a, n, pack(start))
+        assert square_coefficient(a, n, start) == start + expected[n]
+        total = square_coefficient(packed_a, n, pack(start), _packed.add_product, {0: 2})
         assert _packed.unpack(NUM_VARS, RADIX, total) == start + expected[n]

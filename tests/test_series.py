@@ -10,6 +10,7 @@ from fussnarayana import _packed
 from fussnarayana.exact import limit_moment_poly
 from fussnarayana.poly import MultiPoly
 from fussnarayana.series import (
+    _solve,
     lagrange_coefficient,
     product_coefficient,
     solve_functional_equation,
@@ -177,7 +178,8 @@ def fraction_step(prev, g, n, d):
 
 def packed_step(prev, g, n, d):
     # multiplying by the variable d shifts every packed key by its unit
-    return _packed.product_coefficient(prev, g, n, {key + d: c for key, c in prev[n].items()})
+    return product_coefficient(prev, g, n, {key + d: c for key, c in prev[n].items()},
+                               _packed.add_product)
 
 
 @pytest.mark.parametrize("p,order", [(1, 12), (2, 8), (3, 6), (4, 5), (5, 4), (6, 4)])
@@ -234,6 +236,14 @@ def test_lagrange_coefficients_are_integers():
         lagrange_coefficient(2, 3, dims=(1, 2))
 
 
+Q = 2**61 - 1
+
+
+def add_product_mod_q(total, a, b):
+    """The multiply-accumulate of the ints mod Q; ``None`` is the empty sum."""
+    return (a * b if total is None else total + a * b) % Q
+
+
 def test_kernel_is_generic_over_the_coefficient_ring():
     # (1 + t x)^2 truncated at x^1, over MultiPoly in t, then at t = 3 over Fraction
     t = MultiPoly.variable(1, 0)
@@ -242,3 +252,9 @@ def test_kernel_is_generic_over_the_coefficient_ring():
     assert symbolic == [one, 2 * t]
     numeric = truncated_mul([Fraction(1), Fraction(3)], [Fraction(1), Fraction(3)], 1, Fraction(0))
     assert numeric == [c.evaluate([3]) for c in symbolic]
+    # the ints mod Q, a ring given only by its accumulate, run the same
+    # solve at (p, K) = (1, 40) and (3, 12): the integer g_n, far past Q, reduced
+    for ds, order in [([3, -5], 40), ([2, -3, 5, 7], 12)]:
+        exact = _solve(ds, 1, order, int)
+        assert max(exact) > Q
+        assert _solve([d % Q for d in ds], 1, order, int, add_product_mod_q) == [g % Q for g in exact]
