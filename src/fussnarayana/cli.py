@@ -410,16 +410,16 @@ def cmd_diagram(args) -> int:
     from .diagrams import write_partition_svg
 
     spec = partitions.WordSpec(args.p, args.shift, args.k)
-    matchings = partitions.enumerate_adapted(spec, budget=_budget())
-    # list up to --index; the rest is counted only to word an out-of-range error
-    passed = sum(1 for _ in itertools.islice(matchings, max(args.index, 0)))
-    chosen = next(matchings, None)
-    if args.index < 0 or chosen is None:
-        count = passed + (chosen is not None) + sum(1 for _ in matchings)
+    budget = _budget()
+    # the counter checks the index, so the listing stops at the chosen matching
+    count = sum(partitions.profile_histogram(args.p, args.k, args.shift, budget)[args.k].terms.values())
+    if not 0 <= args.index < count:
         raise ValueError(
             f"--index {args.index} outside 0..{count - 1} "
             f"for p={args.p}, k={args.k}, shift={args.shift}"
         )
+    matchings = partitions.enumerate_adapted(spec, budget=budget)
+    chosen = next(itertools.islice(matchings, args.index, None))
     write_partition_svg(args.svg, chosen, partitions.build_word(spec))
     print(f"wrote {args.svg}", file=sys.stderr)
     return 0

@@ -71,6 +71,10 @@ def fuss_narayana_number(k: int, index: Sequence[int]) -> int:
     freely.  The product of binomials is always divisible by k on the
     support; the division is checked.
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"fuss_narayana_number requires an integer k, got k={k!r}") from None
     if k < 1:
         raise ValueError(f"fuss_narayana_number requires k >= 1, got k={k}")
     try:

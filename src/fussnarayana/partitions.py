@@ -101,11 +101,15 @@ class Letter(namedtuple("Letter", "index starred")):
 
 # A namedtuple, not a dataclass: importing ``dataclasses`` costs every command ~10 ms.
 class WordSpec(namedtuple("WordSpec", "p shift k")):
-    """Parameters of a repeated word: p letter pairs, cyclic shift, k repetitions."""
+    """Integer parameters of a repeated word: p letter pairs, cyclic shift, k repetitions."""
 
     __slots__ = ()
 
     def __new__(cls, p: int, shift: int, k: int) -> WordSpec:
+        try:
+            p, shift, k = map(operator.index, (p, shift, k))
+        except TypeError:
+            raise ValueError(f"non-integral word parameter in p={p!r}, shift={shift!r}, k={k!r}") from None
         if p < 1:
             raise ValueError(f"need p >= 1, got {p}")
         if not 0 <= shift <= p:

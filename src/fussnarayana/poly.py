@@ -132,9 +132,6 @@ class MultiPoly:
         return self + (-rhs)
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, int):
-            scaled = {e: c * other for e, c in self.terms.items()}
-            return MultiPoly._from_terms(self.num_vars, scaled)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -148,13 +145,9 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MultiPoly":
-        """Repeated squaring; a one-term polynomial is raised in one step."""
+        """Repeated squaring, the same for every base."""
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        if exponent and len(self.terms) == 1:
-            ((exps, coeff),) = self.terms.items()
-            power = {tuple(e * exponent for e in exps): coeff**exponent}
-            return MultiPoly._from_terms(self.num_vars, power)
         result = MultiPoly.constant(self.num_vars, 1)
         base = self
         n = exponent
@@ -218,19 +211,16 @@ class MultiPoly:
     def substitute(self, index: int, value: int) -> "MultiPoly":
         """Replace one variable by an integer; the result drops that slot.
 
-        Each power of the value that occurs is computed once, and
-        substituting 1 multiplies nothing.
+        Each power of the value that occurs is computed once.
         """
         if not 0 <= index < self.num_vars:
             raise ValueError(f"variable index {index} out of range")
         value = operator.index(value)
-        powers = None if value == 1 else {e: value**e for e in {exps[index] for exps in self.terms}}
+        powers = {e: value**e for e in {exps[index] for exps in self.terms}}
         acc: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms.items():
             key = exps[:index] + exps[index + 1 :]
-            term = coeff if powers is None else coeff * powers[exps[index]]
-            prev = acc.get(key)
-            acc[key] = term if prev is None else prev + term
+            acc[key] = acc.get(key, 0) + coeff * powers[exps[index]]
         return MultiPoly._from_terms(self.num_vars - 1, acc)
 
     def divide_by_variable(self, index: int) -> "MultiPoly":

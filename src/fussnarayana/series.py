@@ -218,8 +218,8 @@ def lagrange_coefficient(p: int, n: int, dims: Sequence | None = None) -> MultiP
     dims for rational ones.  Each ring runs the algorithm that is faster
     for it.  Symbolic d_i multiply the factors truncated above
     lambda^(n-1), O(p n^2) products of ``MultiPoly`` coefficients; the
-    coefficients of each factor, C(n, m) d_i^(n-m), are one-term powers,
-    which ``MultiPoly.__pow__`` raises in one step without a product.
+    coefficients of each factor, C(n, m) d_i^(n-m), are built as one-term
+    polynomials, without a product or a power.
     Integer dims run Miller's power recurrence on A = prod_i (lambda +
     d_i), O(p n) integer products.  On ``MultiPoly`` coefficients that
     recurrence was 3-14 times slower, because its terms and its
@@ -230,9 +230,9 @@ def lagrange_coefficient(p: int, n: int, dims: Sequence | None = None) -> MultiP
         raise ValueError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
     if dims is None:
         zero = MultiPoly(p + 1)
-        ds = [MultiPoly.variable(p + 1, i) for i in range(p + 1)]
-        # (lambda + d)^n truncated above lambda^(n-1)
-        factors = [[math.comb(n, m) * d ** (n - m) for m in range(n)] for d in ds]
+        # (lambda + d_i)^n truncated above lambda^(n-1): C(n, m) d_i^(n-m) at lambda^m
+        factors = [[MultiPoly._from_terms(p + 1, {(0,) * i + (n - m,) + (0,) * (p - i): math.comb(n, m)})
+                    for m in range(n)] for i in range(p + 1)]
         acc = factors[0]
         for factor in factors[1:-1]:
             acc = truncated_mul(acc, factor, n - 1, zero)

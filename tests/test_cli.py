@@ -568,7 +568,7 @@ def test_diagram_index_out_of_range(capsys, tmp_path):
 
 def test_diagram_lists_only_up_to_its_index(capsys, monkeypatch, tmp_path):
     # drawing matching 2 of the 12 takes the first three; an index past the
-    # end counts the rest, and only to word the error
+    # end is rejected by the counter before any matching is listed
     drawn = []
     listing = partitions.enumerate_adapted
 
@@ -588,7 +588,20 @@ def test_diagram_lists_only_up_to_its_index(capsys, monkeypatch, tmp_path):
                            "--svg", str(target))
     assert code == 2
     assert "--index 999 outside 0..11 for p=2, k=3, shift=0" in err
-    assert len(drawn) == 12
+    assert drawn == []
+
+
+@pytest.mark.parametrize("index", ["-1", "100000000000000000000"])
+def test_diagram_rejects_an_index_at_k_30_without_listing(capsys, monkeypatch, tmp_path, index):
+    # Catalan(30) matchings would take years to list; the counter takes milliseconds
+    monkeypatch.setenv("FN_BUDGET", "60")
+    monkeypatch.setattr(partitions, "enumerate_adapted", None)
+    target = tmp_path / "x.svg"
+    code, out, err = run_cli(capsys, "diagram", "-p", "1", "-k", "30", "--index", index,
+                             "--svg", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: --index {index} outside 0..3814986502092303 for p=1, k=30, shift=0\n"
+    assert not target.exists()
 
 
 def test_diagram_unwritable_target_is_usage_error(capsys, tmp_path):

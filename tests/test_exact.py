@@ -94,6 +94,19 @@ def test_fuss_narayana_number_rejects_non_integral_entries(index):
         fuss_narayana_number(3, index)
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, "3", Fraction(3), None], ids=repr)
+def test_fuss_narayana_number_rejects_a_non_integral_order(k):
+    # read unchecked, 2.5 falls off the support (count 0) and 3.0 fails inside math.comb
+    with pytest.raises(ValueError, match="requires an integer k"):
+        fuss_narayana_number(k, (2, 2))
+
+
+def test_fuss_narayana_number_reads_integer_like_orders():
+    numpy = pytest.importorskip("numpy")
+    assert fuss_narayana_number(numpy.int64(3), (numpy.int32(2), 2)) == 3
+    assert fuss_narayana_number(True, (1,)) == 1
+
+
 @pytest.mark.parametrize("p,k", [(0, 2), (2, 0)])
 def test_vandermonde_decomposition_names_bad_arguments(p, k):
     with pytest.raises(ValueError, match=f"got p={p}, k={k}"):

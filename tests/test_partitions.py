@@ -54,6 +54,21 @@ def test_base_word_validates_like_word_spec():
         assert str(from_word.value) == str(from_spec.value)
 
 
+@pytest.mark.parametrize("args", [(1.5, 0, 2), (1, 0, 2.5), (2, 1.0, 1), ("2", 0, 1), (2, 0, None)],
+                         ids=repr)
+def test_word_spec_rejects_non_integral_parameters(args):
+    # unchecked, 1.5 and 2.5 would pass here and fail later, inside base_word or build_word
+    with pytest.raises(ValueError, match="non-integral word parameter"):
+        WordSpec(*args)
+
+
+def test_word_spec_reads_integer_like_parameters():
+    numpy = pytest.importorskip("numpy")
+    spec = WordSpec(numpy.int64(2), numpy.int32(1), True)
+    assert spec == WordSpec(2, 1, 1) and all(type(field) is int for field in spec)
+    assert build_word(spec) == build_word(WordSpec(2, 1, 1))
+
+
 def test_build_word_repeats():
     word = build_word(WordSpec(2, 0, 2))
     assert word_text(word) == "1 2 2* 1* 1 2 2* 1*"
