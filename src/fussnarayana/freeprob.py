@@ -14,12 +14,20 @@ the leading ratio pinned to 1.  Four independent routes are exposed:
 
 * :func:`moments_by_series`, the series solver at the numeric dims;
 * :func:`moments_by_lagrange`, the shared Lagrange inversion at the
-  numeric dims, which the ``moments`` command uses: O(p k) integer
-  products at order k, so a table through order K costs O(p K^2);
+  numeric dims, which the ``moments`` command uses: the dims are scaled
+  to integers and A = prod_i (lambda + d_i) is expanded once per table,
+  then each order k costs O(p k) integer products, so a table through
+  order K costs O(p K^2);
 * :func:`moments_by_closed_form`, the closed-form polynomials evaluated
   at the shapes;
 * :func:`quadrature_moments`, numerical quadrature against the density
   itself (one factor only).
+
+:func:`s_transform_check` tests the series route against the product of
+S-transforms.  Like the series solve, it runs on integers: with q the
+lcm of the shapes' denominators, G_k = q^(pk+1) m_k is an integer, and
+the identity's residual R, scaled by q^(pK+1), comes out in integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -33,7 +41,13 @@ from scipy.integrate import quad
 
 from .exact import fuss_narayana_poly
 from .report import Report
-from .series import lagrange_coefficient, solve_functional_equation, truncated_mul
+from .series import (
+    _integer_dims,
+    _lagrange_integer,
+    _lambda_product,
+    solve_functional_equation,
+    truncated_mul,
+)
 
 
 #: Relative error a quadrature moment's bound must certify.
@@ -138,11 +152,17 @@ def moments_by_lagrange(shapes: Sequence, order: int) -> MomentTable:
     """Moments by univariate Lagrange inversion of the psi equation.
 
     m_k = (1/k) [lambda^(k-1)] prod_i (lambda + d_i)^k at d = (1, t_1,
-    ..., t_p), computed by :func:`~fussnarayana.series.lagrange_coefficient`,
-    the same function that inverts the symbolic equation.
+    ..., t_p), by the integer recurrence of
+    :func:`~fussnarayana.series.lagrange_coefficient`, the function that
+    also inverts the symbolic equation.  The table scales the dims to
+    integers q d_i and expands A = prod_i (lambda + q d_i) once, then
+    divides each order's integer by q^(pk+1).
     """
     ts = _as_shapes(shapes, order)
-    values = tuple(lagrange_coefficient(len(ts), k, (1,) + ts) for k in range(1, order + 1))
+    p = len(ts)
+    q, ds = _integer_dims(p, (1,) + ts)
+    a = _lambda_product(ds)
+    values = tuple(Fraction(_lagrange_integer(a, k), q ** (p * k + 1)) for k in range(1, order + 1))
     return MomentTable(shapes=ts, values=values)
 
 
@@ -164,32 +184,50 @@ def s_transform_check(shapes: Sequence, order: int) -> Report:
         R = D^K (psi(z/D) - z)
           = z D^(K-1) (m_1 - D) + sum_{k=2..K} m_k z^k D^(K-k),
 
-    built by Horner's rule, R <- R * D + m_k z^k, and tests
-    R = 0 mod z^(K+1) coefficient by coefficient, in exact arithmetic.
+    and tests R = 0 mod z^(K+1) coefficient by coefficient.
     D(0) = prod_i t_i is nonzero, so D^K is a unit among power series
     and this test holds exactly when psi(z/D) = z mod z^(K+1) does.
+
+    The arithmetic is on integers.  With q the lcm of the shapes'
+    denominators and a_i = q t_i, D~ = (z + 1) prod_i (q z + a_i) is
+    q^p D, and G_k = q^(pk+1) m_k is an integer for the true moments
+    (the homogeneity of :func:`~fussnarayana.series.solve_functional_equation`),
+    so
+
+        q^(pK+1) R = z D~^(K-1) (G_1 - q D~) + sum_{k=2..K} G_k z^k D~^(K-k),
+
+    built by Horner's rule, R~ <- R~ * D~ + G_k z^k.  A moment whose
+    G_k is not an integer is a wrong one; all G_k are then scaled by the
+    lcm L of their denominators, so it is still checked exactly, and a
+    reported coefficient is R~'s divided by L q^(pK+1), R's own.
     """
     if order < 2:
         raise ValueError(f"order must be >= 2 for a meaningful check, got {order}")
     moments = moments_by_series(shapes, order)
     ts = moments.shapes
-    report = Report(name=f"s-transform p={len(ts)} order={order}")
-    zero, one = Fraction(0), Fraction(1)
+    p = len(ts)
+    report = Report(name=f"s-transform p={p} order={order}")
+    # a_i = q t_i; the leading dim 1 scales to q, which D~'s (z + 1) leaves out
+    q, (_, *a) = _integer_dims(p, (1,) + ts)
 
-    # D = (z + 1) * prod (z + t_i), expanded in z to its degree p + 1
-    denom = [one]
-    for c in (one,) + ts:
-        denom = truncated_mul(denom, [c, one], len(denom), zero)
-    # R = z (m_1 - D), then one Horner step per further moment
-    residual = truncated_mul([zero, one], [-c for c in denom], order, zero)
-    residual[1] += moments.values[0]
+    scaled = [m * q ** (p * k + 1) for k, m in enumerate(moments.values, 1)]
+    lcm = math.lcm(*(g.denominator for g in scaled))
+    big = [g.numerator * (lcm // g.denominator) for g in scaled]
+    # D~ = (z + 1) * prod (q z + a_i), expanded in z to its degree p + 1
+    denom = [1, 1]
+    for c in a:
+        denom = truncated_mul(denom, [c, q], len(denom), 0)
+    # R~ = z L (G_1 - q D~), then one Horner step per further moment
+    residual = truncated_mul([0, 1], [-lcm * q * c for c in denom], order, 0)
+    residual[1] += big[0]
     for k in range(2, order + 1):
-        residual = truncated_mul(residual, denom, order, zero)
-        residual[k] += moments.values[k - 1]
+        residual = truncated_mul(residual, denom, order, 0)
+        residual[k] += big[k - 1]
+    scale = lcm * q ** (p * order + 1)
     for k in range(order + 1):
         report.tally(
             residual[k] == 0,
-            lambda: f"coefficient {k}: R = D^K (psi(z/D) - z) has {residual[k]}, expected 0",
+            lambda: f"coefficient {k}: R = D^K (psi(z/D) - z) has {Fraction(residual[k], scale)}, expected 0",
         )
     return report
 

@@ -145,7 +145,15 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MultiPoly":
-        """Repeated squaring, the same for every base."""
+        """Repeated squaring, the same for every base.
+
+        The exponent is read with ``operator.index``, so a float or a
+        string raises ``ValueError``, as a negative exponent does.
+        """
+        try:
+            exponent = operator.index(exponent)
+        except TypeError:
+            raise ValueError(f"non-integral exponent {exponent!r}") from None
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
         result = MultiPoly.constant(self.num_vars, 1)

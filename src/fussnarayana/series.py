@@ -54,10 +54,13 @@ products, not the theorem.
   the integer dims it runs Miller's power recurrence on the degree-(p+1)
   polynomial ``A = prod_i (lambda + d_i)``: each coefficient of A^n
   comes from the p+1 before it and one exact division, O(p n) integer
-  products in all.  On ``MultiPoly`` coefficients the recurrence was
-  3-14 times slower than the truncated products, because its terms and
-  its division by m * A(0) work on whole polynomials.  It stays off the
-  packed ring, so it checks that ring independently.
+  products in all.  A table of orders 1..K at one set of dims
+  (:func:`fussnarayana.freeprob.moments_by_lagrange`) scales the dims
+  and expands A once, then runs the recurrence per order.  On
+  ``MultiPoly`` coefficients the recurrence was 3-14 times slower than
+  the truncated products, because its terms and its division by
+  m * A(0) work on whole polynomials.  It stays off the packed ring, so
+  it checks that ring independently.
 
 Both produce the order-k moment polynomial multiplied by d0.
 """
@@ -240,21 +243,35 @@ def lagrange_coefficient(p: int, n: int, dims: Sequence | None = None) -> MultiP
         quotients = {exps: _exact_quotient(c, n) for exps, c in top.terms.items()}
         return MultiPoly._from_terms(p + 1, quotients)
     q, ds = _integer_dims(p, dims)
-    # a[j] = [lambda^j] A, A = prod_i (lambda + d_i) of degree p + 1
+    # the same homogeneity as in the solver: G_n = q^{pn+1} g_n
+    return Fraction(_lagrange_integer(_lambda_product(ds), n), q ** (p * n + 1))
+
+
+def _lambda_product(ds: Sequence[int]) -> list[int]:
+    """``a[j] = [lambda^j] A``, j = 0..len(ds), of A = prod_i (lambda + d_i) at integer dims."""
     a = [1]
     for d in ds:
         a = [d * kept + shifted for kept, shifted in zip(a + [0], [0] + a)]
+    return a
+
+
+def _lagrange_integer(a: Sequence[int], n: int) -> int:
+    """``(1/n) [lambda^(n-1)] A^n`` from the coefficients ``a`` of A, by Miller's recurrence.
+
+    O(n deg A) integer products; every division is exact or raises
+    ``ArithmeticError``.
+    """
     if not a[0]:
         # a zero dim puts lambda^n into A^n, so [lambda^(n-1)] A^n = 0
-        return Fraction(0)
+        return 0
     # Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) for b = A^n: reading
     # A b' = n A' b at lambda^(m-1) gives m a_0 b_m = sum_{j>=1}
     # ((n+1) j - m) a_j b_{m-j}, and b_m is an integer
+    degree = len(a) - 1
     b = [a[0] ** n]
     for m in range(1, n):
         total = 0
-        for j in range(1, min(m, p + 1) + 1):
+        for j in range(1, min(m, degree) + 1):
             total += ((n + 1) * j - m) * a[j] * b[m - j]
         b.append(_exact_quotient(total, m * a[0]))
-    # the same homogeneity as in the solver: G_n = q^{pn+1} g_n
-    return Fraction(_exact_quotient(b[n - 1], n), q ** (p * n + 1))
+    return _exact_quotient(b[n - 1], n)

@@ -21,6 +21,7 @@ from fussnarayana.freeprob import (
     s_transform_check,
 )
 from fussnarayana.poly import MultiPoly
+from fussnarayana.report import Report
 
 
 def test_law_atom_and_support():
@@ -221,6 +222,60 @@ def test_s_transform_check_catches_each_raised_moment(shapes, order, monkeypatch
         assert faulty.mismatches[:1] == [
             f"coefficient {j}: R = D^K (psi(z/D) - z) has {lowest}, expected 0"
         ], (shapes, order, j)
+
+
+def _fraction_s_transform_report(table, order):
+    """The S-transform check on ``Fraction`` coefficients: Horner's rule on R = D^K (psi(z/D) - z)."""
+
+    def mul(a, b):
+        return [sum((a[i] * b[n - i] for i in range(n + 1) if i < len(a) and n - i < len(b)),
+                    Fraction(0)) for n in range(order + 1)]
+
+    denom = [Fraction(1)]
+    for c in (Fraction(1),) + table.shapes:
+        denom = mul(denom, [c, Fraction(1)])[:len(denom) + 1]
+    residual = mul([0, 1], [-c for c in denom])
+    residual[1] += table.values[0]
+    for k in range(2, order + 1):
+        residual = mul(residual, denom)
+        residual[k] += table.values[k - 1]
+    report = Report(name=f"s-transform p={len(table.shapes)} order={order}")
+    for k in range(order + 1):
+        report.tally(residual[k] == 0,
+                     f"coefficient {k}: R = D^K (psi(z/D) - z) has {residual[k]}, expected 0")
+    return report
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+@pytest.mark.parametrize("shapes", FREEPROB_FIXTURES)
+def test_integer_s_transform_check_matches_a_fraction_horner_reference(shapes, order, monkeypatch):
+    table = moments_by_series(shapes, order)
+    assert s_transform_check(shapes, order) == _fraction_s_transform_report(table, order)
+    # moments moved by seeded rationals, some of whose denominators no power of q absorbs
+    rng = random.Random(f"{shapes} {order}")
+    values = tuple(m + Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 7, 11, 13)))
+                   if rng.random() < 0.5 else m for m in table.values)
+    planted = MomentTable(shapes=table.shapes, values=values)
+    monkeypatch.setattr(freeprob, "moments_by_series", lambda *_: planted)
+    assert s_transform_check(shapes, order) == _fraction_s_transform_report(planted, order)
+
+
+@pytest.mark.parametrize("order", [2, 12])
+@pytest.mark.parametrize("shapes", FREEPROB_FIXTURES)
+def test_s_transform_check_reports_a_moment_off_by_a_fraction_exactly(shapes, order, monkeypatch):
+    table = moments_by_series(shapes, order)
+    for j in range(1, order + 1):
+        values = list(table.values)
+        values[j - 1] += Fraction(1, 11)
+        planted = MomentTable(shapes=table.shapes, values=tuple(values))
+        monkeypatch.setattr(freeprob, "moments_by_series", lambda *_: planted)
+        faulty = s_transform_check(shapes, order)
+        # 11 divides no q^(pj+1): the residual keeps its denominator 11
+        lowest = Fraction(1, 11) * math.prod(table.shapes) ** (order - j)
+        assert faulty.mismatches[:1] == [
+            f"coefficient {j}: R = D^K (psi(z/D) - z) has {lowest}, expected 0"
+        ], (shapes, order, j)
+        assert faulty == _fraction_s_transform_report(planted, order)
 
 
 def test_s_transform_check_needs_two_orders():

@@ -281,3 +281,15 @@ def test_pow_of_zero_and_of_several_terms():
     for base in (x, 2 * x, several):
         with pytest.raises(ValueError):
             base ** -1
+
+
+@pytest.mark.parametrize("exponent", [2.0, 2.5, "2", -1])
+def test_pow_rejects_an_exponent_that_is_not_a_nonnegative_int(exponent):
+    x = MultiPoly.variable(2, 0)
+    with pytest.raises(ValueError):
+        x ** exponent
+
+
+def test_pow_reads_a_numpy_int_exponent():
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    assert (x + y) ** np.int64(3) == (x + y) ** 3 == (x + y) * (x + y) * (x + y)
