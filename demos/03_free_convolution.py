@@ -47,7 +47,7 @@ def main() -> None:
         print(f"  {k:>2}  {str(s):>16}  {str(c):>16}")
     print()
 
-    report = s_transform_check(shapes, K_MAX)
+    report = s_transform_check(by_series)
     print(f"S-transform identity check: {report.checks} coefficients compared, ok={report.ok}")
     print()
 

@@ -13,20 +13,21 @@ Moments therefore come from the shared functional-equation solver with
 the leading ratio pinned to 1.  Four independent routes are exposed:
 
 * :func:`moments_by_series`, the series solver at the numeric dims;
-* :func:`moments_by_lagrange`, the shared Lagrange inversion at the
+* :func:`moments_by_lagrange`, univariate Lagrange inversion at the
   numeric dims, which the ``moments`` command uses: the dims are scaled
   to integers and A = prod_i (lambda + d_i) is expanded once per table,
-  then each order k costs O(p k) integer products, so a table through
-  order K costs O(p K^2);
+  then Miller's power recurrence gives each order k in O(p k) integer
+  products, so a table through order K costs O(p K^2);
 * :func:`moments_by_closed_form`, the closed-form polynomials evaluated
   at the shapes;
 * :func:`quadrature_moments`, numerical quadrature against the density
   itself (one factor only).
 
-:func:`s_transform_check` tests the series route against the product of
-S-transforms.  Like the series solve, it runs on integers: with q the
-lcm of the shapes' denominators, G_k = q^(pk+1) m_k is an integer, and
-the identity's residual R, scaled by q^(pK+1), comes out in integer
+:func:`s_transform_check` tests a moment table it is given, in practice
+the series route's, against the product of S-transforms.  Like the
+series solve, it runs on integers: with q the lcm of the shapes'
+denominators, G_k = q^(pk+1) m_k is an integer for the true moments,
+and the identity's residual R, scaled by q^(pK+1), comes out in integer
 arithmetic.
 """
 
@@ -41,13 +42,7 @@ from scipy.integrate import quad
 
 from .exact import fuss_narayana_poly
 from .report import Report
-from .series import (
-    _integer_dims,
-    _lagrange_integer,
-    _lambda_product,
-    solve_functional_equation,
-    truncated_mul,
-)
+from .series import _exact_quotient, _integer_dims, solve_functional_equation, truncated_mul
 
 
 #: Relative error a quadrature moment's bound must certify.
@@ -152,18 +147,40 @@ def moments_by_lagrange(shapes: Sequence, order: int) -> MomentTable:
     """Moments by univariate Lagrange inversion of the psi equation.
 
     m_k = (1/k) [lambda^(k-1)] prod_i (lambda + d_i)^k at d = (1, t_1,
-    ..., t_p), by the integer recurrence of
-    :func:`~fussnarayana.series.lagrange_coefficient`, the function that
-    also inverts the symbolic equation.  The table scales the dims to
-    integers q d_i and expands A = prod_i (lambda + q d_i) once, then
-    divides each order's integer by q^(pk+1).
+    ..., t_p).  The table scales the dims to integers q d_i, expands
+    A = prod_i (lambda + q d_i) once, runs Miller's power recurrence for
+    each order and divides its integer by q^(pk+1), as the series solve
+    does (:func:`~fussnarayana.series.solve_functional_equation`).
     """
     ts = _as_shapes(shapes, order)
     p = len(ts)
     q, ds = _integer_dims(p, (1,) + ts)
-    a = _lambda_product(ds)
+    # a[j] = [lambda^j] A
+    a = [1]
+    for d in ds:
+        a = [d * kept + shifted for kept, shifted in zip(a + [0], [0] + a)]
     values = tuple(Fraction(_lagrange_integer(a, k), q ** (p * k + 1)) for k in range(1, order + 1))
     return MomentTable(shapes=ts, values=values)
+
+
+def _lagrange_integer(a: Sequence[int], n: int) -> int:
+    """``(1/n) [lambda^(n-1)] A^n`` from the coefficients ``a`` of A, by Miller's recurrence.
+
+    a[0], the product of the scaled dims, is positive.  O(n deg A)
+    integer products; every division is exact or raises
+    ``ArithmeticError``.
+    """
+    # Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) for b = A^n: reading
+    # A b' = n A' b at lambda^(m-1) gives m a_0 b_m = sum_{j>=1}
+    # ((n+1) j - m) a_j b_{m-j}, and b_m is an integer
+    degree = len(a) - 1
+    b = [a[0] ** n]
+    for m in range(1, n):
+        total = 0
+        for j in range(1, min(m, degree) + 1):
+            total += ((n + 1) * j - m) * a[j] * b[m - j]
+        b.append(_exact_quotient(total, m * a[0]))
+    return _exact_quotient(b[n - 1], n)
 
 
 def moments_by_closed_form(shapes: Sequence, order: int) -> MomentTable:
@@ -173,13 +190,13 @@ def moments_by_closed_form(shapes: Sequence, order: int) -> MomentTable:
     return MomentTable(shapes=ts, values=values)
 
 
-def s_transform_check(shapes: Sequence, order: int) -> Report:
-    """Verify the moment series against the product of S-transforms.
+def s_transform_check(moments: MomentTable) -> Report:
+    """Verify a moment table against the product of S-transforms.
 
     S(z) = prod_i 1/(z + t_i) says that psi has the compositional
     inverse z / D(z), D(z) = (z + 1) * prod_i (z + t_i), so psi(z/D) = z.
-    With K = ``order`` and the moments from :func:`moments_by_series`,
-    the check multiplies that identity through by D^K:
+    With K = ``moments.max_order``, t_i the table's shapes and m_k its
+    values, the check multiplies that identity through by D^K:
 
         R = D^K (psi(z/D) - z)
           = z D^(K-1) (m_1 - D) + sum_{k=2..K} m_k z^k D^(K-k),
@@ -201,10 +218,10 @@ def s_transform_check(shapes: Sequence, order: int) -> Report:
     lcm L of their denominators, so it is still checked exactly, and a
     reported coefficient is R~'s divided by L q^(pK+1), R's own.
     """
+    order = moments.max_order
     if order < 2:
         raise ValueError(f"order must be >= 2 for a meaningful check, got {order}")
-    moments = moments_by_series(shapes, order)
-    ts = moments.shapes
+    ts = _as_shapes(moments.shapes, order)
     p = len(ts)
     report = Report(name=f"s-transform p={p} order={order}")
     # a_i = q t_i; the leading dim 1 scales to q, which D~'s (z + 1) leaves out

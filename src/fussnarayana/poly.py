@@ -219,11 +219,16 @@ class MultiPoly:
     def substitute(self, index: int, value: int) -> "MultiPoly":
         """Replace one variable by an integer; the result drops that slot.
 
-        Each power of the value that occurs is computed once.
+        The value is read with ``operator.index``, so a ``Fraction`` or a
+        float raises ``ValueError``.  Each power of the value that occurs
+        is computed once.
         """
         if not 0 <= index < self.num_vars:
             raise ValueError(f"variable index {index} out of range")
-        value = operator.index(value)
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"non-integral value {value!r}") from None
         powers = {e: value**e for e in {exps[index] for exps in self.terms}}
         acc: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms.items():

@@ -47,20 +47,12 @@ products, not the theorem.
 
 * ``lagrange_coefficient`` extracts the same coefficient via Lagrange
   inversion: the x^n coefficient of the solution equals
-  ``(1/n) [lambda^{n-1}] prod_i (lambda + d_i)^n``.  It runs in the
-  solver's two rings, each with the algorithm that is faster for it.
-  With symbolic d_i it multiplies the factors as ``MultiPoly`` series
-  truncated above lambda^{n-1}, O(p n^2) coefficient products.  With
-  the integer dims it runs Miller's power recurrence on the degree-(p+1)
-  polynomial ``A = prod_i (lambda + d_i)``: each coefficient of A^n
-  comes from the p+1 before it and one exact division, O(p n) integer
-  products in all.  A table of orders 1..K at one set of dims
-  (:func:`fussnarayana.freeprob.moments_by_lagrange`) scales the dims
-  and expands A once, then runs the recurrence per order.  On
-  ``MultiPoly`` coefficients the recurrence was 3-14 times slower than
-  the truncated products, because its terms and its division by
-  m * A(0) work on whole polynomials.  It stays off the packed ring, so
-  it checks that ring independently.
+  ``(1/n) [lambda^{n-1}] prod_i (lambda + d_i)^n``.  It takes symbolic
+  d_i only and multiplies the factors as ``MultiPoly`` series truncated
+  above lambda^{n-1}, O(p n^2) coefficient products.  It stays off the
+  packed ring, so it checks that ring independently.  Lagrange inversion
+  at rational d_i is :func:`fussnarayana.freeprob.moments_by_lagrange`,
+  which runs Miller's power recurrence on integers.
 
 Both produce the order-k moment polynomial multiplied by d0.
 """
@@ -212,66 +204,27 @@ def solve_functional_equation(
     return [Fraction(coefficient, q ** (p * n + 1)) for n, coefficient in enumerate(big)]
 
 
-def lagrange_coefficient(p: int, n: int, dims: Sequence | None = None) -> MultiPoly | Fraction:
-    """x^n coefficient of the functional-equation solution, via inversion.
+def lagrange_coefficient(p: int, n: int) -> MultiPoly:
+    """x^n coefficient of the symbolic functional-equation solution, via inversion.
 
-    Computes (1/n) [lambda^(n-1)] prod_{i=0..p} (lambda + d_i)^n.  The
-    dims and the result follow :func:`solve_functional_equation`: a
-    ``MultiPoly`` for symbolic d_i, a ``Fraction`` through the integer
-    dims for rational ones.  Each ring runs the algorithm that is faster
-    for it.  Symbolic d_i multiply the factors truncated above
-    lambda^(n-1), O(p n^2) products of ``MultiPoly`` coefficients; the
-    coefficients of each factor, C(n, m) d_i^(n-m), are built as one-term
-    polynomials, without a product or a power.
-    Integer dims run Miller's power recurrence on A = prod_i (lambda +
-    d_i), O(p n) integer products.  On ``MultiPoly`` coefficients that
-    recurrence was 3-14 times slower, because its terms and its
-    quotients by m * A(0) are whole polynomials.  Every division is
-    exact or raises ``ArithmeticError``.
+    Computes (1/n) [lambda^(n-1)] prod_{i=0..p} (lambda + d_i)^n in the
+    p+1 variables d_i, the ``MultiPoly`` that
+    :func:`solve_functional_equation` returns at order n with ``dims``
+    omitted.  It multiplies the factors truncated above lambda^(n-1),
+    O(p n^2) products of ``MultiPoly`` coefficients; the coefficients of
+    each factor, C(n, m) d_i^(n-m), are built as one-term polynomials,
+    without a product or a power.  The division by n is exact or raises
+    ``ArithmeticError``.
     """
     if p < 1 or n < 1:
         raise ValueError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
-    if dims is None:
-        zero = MultiPoly(p + 1)
-        # (lambda + d_i)^n truncated above lambda^(n-1): C(n, m) d_i^(n-m) at lambda^m
-        factors = [[MultiPoly._from_terms(p + 1, {(0,) * i + (n - m,) + (0,) * (p - i): math.comb(n, m)})
-                    for m in range(n)] for i in range(p + 1)]
-        acc = factors[0]
-        for factor in factors[1:-1]:
-            acc = truncated_mul(acc, factor, n - 1, zero)
-        top = product_coefficient(acc, factors[-1], n - 1, zero)
-        quotients = {exps: _exact_quotient(c, n) for exps, c in top.terms.items()}
-        return MultiPoly._from_terms(p + 1, quotients)
-    q, ds = _integer_dims(p, dims)
-    # the same homogeneity as in the solver: G_n = q^{pn+1} g_n
-    return Fraction(_lagrange_integer(_lambda_product(ds), n), q ** (p * n + 1))
-
-
-def _lambda_product(ds: Sequence[int]) -> list[int]:
-    """``a[j] = [lambda^j] A``, j = 0..len(ds), of A = prod_i (lambda + d_i) at integer dims."""
-    a = [1]
-    for d in ds:
-        a = [d * kept + shifted for kept, shifted in zip(a + [0], [0] + a)]
-    return a
-
-
-def _lagrange_integer(a: Sequence[int], n: int) -> int:
-    """``(1/n) [lambda^(n-1)] A^n`` from the coefficients ``a`` of A, by Miller's recurrence.
-
-    O(n deg A) integer products; every division is exact or raises
-    ``ArithmeticError``.
-    """
-    if not a[0]:
-        # a zero dim puts lambda^n into A^n, so [lambda^(n-1)] A^n = 0
-        return 0
-    # Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) for b = A^n: reading
-    # A b' = n A' b at lambda^(m-1) gives m a_0 b_m = sum_{j>=1}
-    # ((n+1) j - m) a_j b_{m-j}, and b_m is an integer
-    degree = len(a) - 1
-    b = [a[0] ** n]
-    for m in range(1, n):
-        total = 0
-        for j in range(1, min(m, degree) + 1):
-            total += ((n + 1) * j - m) * a[j] * b[m - j]
-        b.append(_exact_quotient(total, m * a[0]))
-    return _exact_quotient(b[n - 1], n)
+    zero = MultiPoly(p + 1)
+    # (lambda + d_i)^n truncated above lambda^(n-1): C(n, m) d_i^(n-m) at lambda^m
+    factors = [[MultiPoly._from_terms(p + 1, {(0,) * i + (n - m,) + (0,) * (p - i): math.comb(n, m)})
+                for m in range(n)] for i in range(p + 1)]
+    acc = factors[0]
+    for factor in factors[1:-1]:
+        acc = truncated_mul(acc, factor, n - 1, zero)
+    top = product_coefficient(acc, factors[-1], n - 1, zero)
+    quotients = {exps: _exact_quotient(c, n) for exps, c in top.terms.items()}
+    return MultiPoly._from_terms(p + 1, quotients)

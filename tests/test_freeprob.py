@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
-from fussnarayana import freeprob
+from fussnarayana import cli, freeprob
 from fussnarayana.cli import FREEPROB_FIXTURES
 from fussnarayana.exact import fuss_narayana_poly, limit_moment_poly
 from fussnarayana.freeprob import (
@@ -198,24 +198,22 @@ def test_unit_shapes_reduce_to_known_values():
     ],
 )
 def test_s_transform_inversion(shapes):
-    report = s_transform_check(shapes, 6)
+    report = s_transform_check(moments_by_series(shapes, 6))
     assert report.ok, report.mismatches
     assert report.checks == 7
 
 
 @pytest.mark.parametrize("order", [2, 12, 30])
 @pytest.mark.parametrize("shapes", FREEPROB_FIXTURES)
-def test_s_transform_check_catches_each_raised_moment(shapes, order, monkeypatch):
-    report = s_transform_check(shapes, order)
+def test_s_transform_check_catches_each_raised_moment(shapes, order):
+    table = moments_by_series(shapes, order)
+    report = s_transform_check(table)
     assert report.ok, report.mismatches
     assert report.checks == order + 1
-    table = moments_by_series(shapes, order)
     for j in range(1, order + 1):
         values = list(table.values)
         values[j - 1] += 1
-        planted = MomentTable(shapes=table.shapes, values=tuple(values))
-        monkeypatch.setattr(freeprob, "moments_by_series", lambda *_: planted)
-        faulty = s_transform_check(shapes, order)
+        faulty = s_transform_check(MomentTable(shapes=table.shapes, values=tuple(values)))
         assert faulty.checks == order + 1
         # m_j enters R first at z^j, times D(0)^(K-j) with D(0) = prod_i t_i
         lowest = math.prod(table.shapes) ** (order - j)
@@ -248,28 +246,26 @@ def _fraction_s_transform_report(table, order):
 
 @pytest.mark.parametrize("order", range(2, 13))
 @pytest.mark.parametrize("shapes", FREEPROB_FIXTURES)
-def test_integer_s_transform_check_matches_a_fraction_horner_reference(shapes, order, monkeypatch):
+def test_integer_s_transform_check_matches_a_fraction_horner_reference(shapes, order):
     table = moments_by_series(shapes, order)
-    assert s_transform_check(shapes, order) == _fraction_s_transform_report(table, order)
+    assert s_transform_check(table) == _fraction_s_transform_report(table, order)
     # moments moved by seeded rationals, some of whose denominators no power of q absorbs
     rng = random.Random(f"{shapes} {order}")
     values = tuple(m + Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 7, 11, 13)))
                    if rng.random() < 0.5 else m for m in table.values)
     planted = MomentTable(shapes=table.shapes, values=values)
-    monkeypatch.setattr(freeprob, "moments_by_series", lambda *_: planted)
-    assert s_transform_check(shapes, order) == _fraction_s_transform_report(planted, order)
+    assert s_transform_check(planted) == _fraction_s_transform_report(planted, order)
 
 
 @pytest.mark.parametrize("order", [2, 12])
 @pytest.mark.parametrize("shapes", FREEPROB_FIXTURES)
-def test_s_transform_check_reports_a_moment_off_by_a_fraction_exactly(shapes, order, monkeypatch):
+def test_s_transform_check_reports_a_moment_off_by_a_fraction_exactly(shapes, order):
     table = moments_by_series(shapes, order)
     for j in range(1, order + 1):
         values = list(table.values)
         values[j - 1] += Fraction(1, 11)
         planted = MomentTable(shapes=table.shapes, values=tuple(values))
-        monkeypatch.setattr(freeprob, "moments_by_series", lambda *_: planted)
-        faulty = s_transform_check(shapes, order)
+        faulty = s_transform_check(planted)
         # 11 divides no q^(pj+1): the residual keeps its denominator 11
         lowest = Fraction(1, 11) * math.prod(table.shapes) ** (order - j)
         assert faulty.mismatches[:1] == [
@@ -279,8 +275,32 @@ def test_s_transform_check_reports_a_moment_off_by_a_fraction_exactly(shapes, or
 
 
 def test_s_transform_check_needs_two_orders():
+    with pytest.raises(ValueError, match="order must be >= 2"):
+        s_transform_check(moments_by_series((Fraction(1),), 1))
+
+
+@pytest.mark.parametrize("shapes", [(), (Fraction(2), Fraction(0)), (Fraction(-1),),
+                                    (Fraction(1, 2), Fraction(-3, 7))])
+def test_s_transform_check_validates_the_table_shapes(shapes):
+    # the moments of shapes (1, 1/2), which are fine; only the shapes are bad
+    values = moments_by_series((Fraction(1), Fraction(1, 2)), 4).values
     with pytest.raises(ValueError):
-        s_transform_check((Fraction(1),), 1)
+        s_transform_check(MomentTable(shapes=shapes, values=values))
+
+
+def test_freeprob_sweep_solves_each_fixture_once(monkeypatch, capsys):
+    # the S-transform check reads the first orders of the sweep's own series table
+    calls = []
+    solve = freeprob.solve_functional_equation
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(freeprob, "solve_functional_equation", counted)
+    assert cli.main(["verify", "--suite", "freeprob", "--k-max", "12"]) == 0
+    assert '"ok": true' in capsys.readouterr().out
+    assert len(calls) == len(FREEPROB_FIXTURES) == 7
 
 
 @pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(1), Fraction(2)])

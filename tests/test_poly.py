@@ -100,7 +100,7 @@ def test_rational_scalars_rejected():
         Fraction(1, 2) * x
     with pytest.raises(TypeError):
         x + Fraction(1, 2)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="non-integral value"):
         x.substitute(0, Fraction(1, 2))
 
 
