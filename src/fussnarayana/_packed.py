@@ -6,8 +6,10 @@ the digit of ``radix**s``.  Multiplying monomials is then adding ints,
 with no tuple built per product.  Terms are a ``dict[int, int]`` from
 packed key to coefficient.  The packing is exact only while no exponent
 reaches the radix, so each caller derives its radix from a bound on a
-single exponent of everything it stores, and :func:`unpack` turns the
-result into a :class:`~fussnarayana.poly.MultiPoly` once at the end.
+single exponent of everything it stores.  A route returns its orders
+as :class:`Orders`, which keeps each order packed until it is read and
+then turns it into a :class:`~fussnarayana.poly.MultiPoly` with
+:func:`unpack`, so a caller that reads one order unpacks one.
 
 The series solver runs the one truncated-series kernel of
 :mod:`fussnarayana.series` on these dicts, with :func:`add_product` as
@@ -58,3 +60,44 @@ def add_product(
             key = key_a + key_b
             total[key] = get(key, 0) + c_a * c_b
     return total
+
+
+class Orders:
+    """Read-only sequence of a route's orders 0..k, each unpacked when first read.
+
+    Holds the packed term dicts of one ``(num_vars, radix)`` packing.
+    Indexing order j unpacks it with :func:`unpack` the first time and
+    keeps the ``MultiPoly`` in its place, so a second read returns the
+    same object.  Supports ``len``, iteration, negative indices and
+    slices (a slice is a list), and equals a list of ``MultiPoly`` with
+    the same entries, whichever side of ``==`` the list is on.
+    """
+
+    __slots__ = ("num_vars", "radix", "_orders")
+
+    def __init__(self, num_vars: int, radix: int, orders: list[dict[int, int]]):
+        self.num_vars = num_vars
+        self.radix = radix
+        self._orders = orders
+
+    def __len__(self) -> int:
+        return len(self._orders)
+
+    def __getitem__(self, index):
+        if type(index) is slice:
+            return [self[j] for j in range(*index.indices(len(self._orders)))]
+        order = self._orders[index]
+        if type(order) is dict:
+            order = self._orders[index] = unpack(self.num_vars, self.radix, order)
+        return order
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._orders)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, Orders)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"Orders({list(self)!r})"

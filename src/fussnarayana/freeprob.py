@@ -216,12 +216,17 @@ def s_transform_check(moments: MomentTable) -> Report:
     built by Horner's rule, R~ <- R~ * D~ + G_k z^k.  A moment whose
     G_k is not an integer is a wrong one; all G_k are then scaled by the
     lcm L of their denominators, so it is still checked exactly, and a
-    reported coefficient is R~'s divided by L q^(pK+1), R's own.
+    reported coefficient is R~'s divided by L q^(pK+1), R's own.  Only
+    exact moments can be checked: an entry that is neither an ``int`` nor
+    a ``Fraction`` raises ``ValueError``.
     """
     order = moments.max_order
     if order < 2:
         raise ValueError(f"order must be >= 2 for a meaningful check, got {order}")
     ts = _as_shapes(moments.shapes, order)
+    for k, m in enumerate(moments.values, 1):
+        if not isinstance(m, (int, Fraction)):
+            raise ValueError(f"moment m_{k} = {m!r} is neither an int nor a Fraction")
     p = len(ts)
     report = Report(name=f"s-transform p={p} order={order}")
     # a_i = q t_i; the leading dim 1 scales to q, which D~'s (z + 1) leaves out

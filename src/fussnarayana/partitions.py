@@ -38,8 +38,9 @@ Counting and listing.  ``profile_histogram`` counts matchings by
 profile with the first-block recurrence on intervals of the periodic
 word, without building a matching; like the walk, it reads each
 block's mate distance and profile slot off one period.  It returns the
-profile polynomials of orders 0..k as ``MultiPoly``s read off one table
-of intervals; at shift 0 entry k is the limit moment polynomial P_k, and
+profile polynomials of orders 0..k, read off one table of intervals, as
+a sequence that makes entry j a ``MultiPoly`` when it is read; at shift
+0 entry k is the limit moment polynomial P_k, and
 the count of one profile is its coefficient in ``.terms``.
 ``enumerate_adapted`` and ``leg_profile`` list and profile them one by
 one, and ``listed_histograms`` collects those brute histograms for
@@ -331,7 +332,7 @@ def leg_profile(pi: PairPartition, word: Sequence[Letter]) -> tuple[int, ...]:
 
 def profile_histogram(
     p: int, k: int, shift: int = 0, budget: int = DEFAULT_BUDGET
-) -> list[MultiPoly]:
+) -> _packed.Orders:
     """Profile polynomials of the shift-``shift`` words of every order 0..k.
 
     Entry j has one monomial d0^j0 ... dp^jp per adapted matching of the
@@ -350,6 +351,10 @@ def profile_histogram(
     The order-j word is the interval (0, 2pj), so the one table of
     interval histograms, which lives for one call, holds every order.
     The budget caps 2pk exactly as for ``enumerate_adapted``.
+
+    Returns the k + 1 entries as a :class:`~fussnarayana._packed.Orders`,
+    which turns entry j into a ``MultiPoly`` the first time it is read
+    and equals the list of them, so reading one order unpacks one.
     """
     _check_budget(p, k, budget)
     WordSpec(p, shift, k)  # validate arguments
@@ -371,7 +376,7 @@ def profile_histogram(
                                     table[(a + m + 1) % period, length - m - 1], leg_key[a])
             table[a, length] = hist
 
-    return [_packed.unpack(p + 1, radix, table[0, period * j]) for j in range(k + 1)]
+    return _packed.Orders(p + 1, radix, [table[0, period * j] for j in range(k + 1)])
 
 
 # -- cover rotation ----------------------------------------------------------

@@ -95,8 +95,12 @@ class MultiPoly:
         return bool(self.terms)
 
     def canonical_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in descending lexicographic order of exponent vector."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        """Terms in descending lexicographic order of exponent vector.
+
+        The exponent vectors are distinct keys, so sorting the (exponents,
+        coefficient) pairs never compares two coefficients.
+        """
+        return sorted(self.terms.items(), reverse=True)
 
     # -- ring operations ----------------------------------------------------
 

@@ -38,12 +38,13 @@ products, not the theorem.
   through (p, K) = (4, 14).
   One loop, :func:`_solve`, serves two rings.  With symbolic d_i the
   coefficients are packed-key term dicts (:mod:`fussnarayana._packed`),
-  accumulated by its ``add_product``, and are turned into ``MultiPoly``
-  once at the end.  With rational d_i the loop runs on Python ints with
-  the default accumulate: g_n is homogeneous of degree pn + 1 in the
-  d_i, so the solver scales the d_i by the lcm q of their denominators,
-  solves over the integers and divides g_n by q^{pn+1} once, in one
-  ``Fraction`` per order.
+  accumulated by its ``add_product``, and are returned as
+  :class:`fussnarayana._packed.Orders`, which turns an order into a
+  ``MultiPoly`` only when it is read.  With rational d_i the loop runs
+  on Python ints with the default accumulate: g_n is homogeneous of
+  degree pn + 1 in the d_i, so the solver scales the d_i by the lcm q of
+  their denominators, solves over the integers and divides g_n by
+  q^{pn+1} once, in one ``Fraction`` per order.
 
 * ``lagrange_coefficient`` extracts the same coefficient via Lagrange
   inversion: the x^n coefficient of the solution equals
@@ -162,15 +163,18 @@ def _integer_dims(p: int, dims: Sequence) -> tuple[int, list[int]]:
 
 def solve_functional_equation(
     p: int, order: int, dims: Sequence | None = None
-) -> list:
+) -> _packed.Orders | list[Fraction]:
     """Solve g = x * (g + d0) * (g + d1) * ... * (g + dp) to the given order.
 
-    Returns the coefficient list ``g[0..order]``.  With ``dims`` omitted
-    the d_i are symbolic and ``g[k]`` is the order-k limit moment
-    polynomial times d0, in ``p+1`` variables.  With ``dims`` given (p+1
-    exact rationals) the same recurrence runs on the integer dims
-    ``q * d_i``, q the lcm of their denominators, and ``g[k]`` is the
-    integer result divided by ``q**(p*k + 1)``, a ``Fraction``.
+    Returns the coefficients ``g[0..order]``.  With ``dims`` omitted the
+    d_i are symbolic and ``g[k]`` is the order-k limit moment polynomial
+    times d0, in ``p+1`` variables; they come as a
+    :class:`~fussnarayana._packed.Orders`, which unpacks an order into a
+    ``MultiPoly`` the first time it is read and equals the list of them.
+    With ``dims`` given (p+1 exact rationals) the same recurrence runs on
+    the integer dims ``q * d_i``, q the lcm of their denominators, and the
+    result is a list whose ``g[k]`` is the integer result divided by
+    ``q**(p*k + 1)``, a ``Fraction``.
 
     The product is ``sum_j e_{p+1-j} g^j``, e_m the m-th elementary
     symmetric polynomial of the d_i, so ``g_{n+1} = e_{p+1} [n = 0] +
@@ -193,7 +197,7 @@ def solve_functional_equation(
         radix = order + 1
         ds = [{unit: 1} for unit in _packed.units(p + 1, radix)]
         g = _solve(ds, {0: 1}, order, dict, _packed.add_product)
-        return [_packed.unpack(p + 1, radix, terms) for terms in g]
+        return _packed.Orders(p + 1, radix, g)
     # Homogeneity: if g(x) solves the equation at d, then h(x) = q g(q^p x)
     # solves it at q d, since x prod_i (h + q d_i) = q^{p+1} x prod_i
     # (g(q^p x) + d_i) = q g(q^p x), the last step being the equation at

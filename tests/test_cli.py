@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fussnarayana import cli, exact, freeprob, partitions, rmt, series
+from fussnarayana.poly import MultiPoly
 from fussnarayana.report import Report
 
 
@@ -282,6 +283,42 @@ def test_verify_oracle_counts_each_p_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--pk-budget", "60")
     assert code == 0 and json.loads(out)["ok"] is True
     assert calls == [(1, 30), (2, 15), (3, 10)]
+
+
+P25, P24 = exact.limit_moment_poly(2, 5), exact.limit_moment_poly(2, 4)
+
+
+@pytest.mark.parametrize("command,expected", [
+    ("poly -p 3 -k 8 --series", [exact.limit_moment_poly(3, 8) * MultiPoly.variable(4, 0)]),
+    ("poly -p 2 -k 5 --enumerate", [P25]),
+    ("enumerate -p 2 -k 5 --count", [P25]),
+    ("enumerate -p 2 -k 5 --profiles", [P25]),
+    ("poly -p 2 -k 4 --all-methods", [P24, P24 * MultiPoly.variable(3, 0)]),
+])
+def test_a_command_unpacks_only_the_order_it_prints(capsys, monkeypatch, unpacked, command, expected):
+    # the series solve and the counter return orders 0..k packed; a command
+    # reads order k alone, the series route's as g_k = d0 P_k
+    monkeypatch.setenv("FN_BUDGET", "20")
+    code, _, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert unpacked == expected
+
+
+def test_diagram_index_check_unpacks_one_order(capsys, unpacked, tmp_path):
+    code, _, _ = run_cli(capsys, "diagram", "-p", "2", "-k", "3", "--index", "11",
+                         "--svg", str(tmp_path / "last.svg"))
+    assert code == 0
+    assert unpacked == [exact.limit_moment_poly(2, 3)]
+
+
+def test_verify_oracle_reads_every_order(capsys, unpacked):
+    # the count of every order 0..3 and the series coefficient g_k = d0 P_k
+    # of every order it compares, 1..3, each once
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "-p", "2", "--pk-budget", "12")
+    assert code == 0 and json.loads(out)["ok"] is True
+    counts = [exact.limit_moment_poly(2, k) for k in range(4)]
+    expected = counts + [poly * MultiPoly.variable(3, 0) for poly in counts[1:]]
+    assert len(unpacked) == len(expected) and all(poly in unpacked for poly in expected)
 
 
 def report_names(out):

@@ -288,6 +288,14 @@ def test_s_transform_check_validates_the_table_shapes(shapes):
         s_transform_check(MomentTable(shapes=shapes, values=values))
 
 
+@pytest.mark.parametrize("values,entry", [((Fraction(1), 2.0), "m_2 = 2.0"),
+                                          ((1, "2", Fraction(5)), "m_2 = '2'")])
+def test_s_transform_check_rejects_an_entry_that_is_not_exact(values, entry):
+    # a float or a str has no exact value to test the identity with
+    with pytest.raises(ValueError, match=f"^moment {entry} is neither an int nor a Fraction$"):
+        s_transform_check(MomentTable(shapes=(Fraction(1),), values=values))
+
+
 def test_freeprob_sweep_solves_each_fixture_once(monkeypatch, capsys):
     # the S-transform check reads the first orders of the sweep's own series table
     calls = []

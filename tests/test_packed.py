@@ -1,5 +1,6 @@
 """Tests for the packed-key polynomial kernel against MultiPoly arithmetic."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,3 +64,33 @@ def test_square_coefficient_is_the_series_square(a, start):
         assert square_coefficient(a, n, start) == start + expected[n]
         total = square_coefficient(packed_a, n, pack(start), _packed.add_product, {0: 2})
         assert _packed.unpack(NUM_VARS, RADIX, total) == start + expected[n]
+
+
+def test_orders_unpack_each_order_once_when_it_is_read(unpacked):
+    d0, d1, d2 = (MultiPoly.variable(NUM_VARS, s) for s in range(NUM_VARS))
+    eager = [MultiPoly(NUM_VARS), d0, d1 * d2 + 3 * d0 * d0, -d2]
+    orders = _packed.Orders(NUM_VARS, RADIX, [pack(poly) for poly in eager])
+    assert len(orders) == 4 and not unpacked
+    assert orders[-1] == -d2 and orders[2] == eager[2]
+    assert unpacked == [-d2, eager[2]]
+    # a second read returns the kept object and unpacks nothing
+    assert orders[2] is unpacked[1] and orders[-1] is unpacked[0]
+    assert orders[1:3] == eager[1:3] and orders[::-2] == eager[::-2]
+    assert len(unpacked) == 3  # only order 1 was still packed
+    assert list(orders) == eager and len(unpacked) == 4
+    with pytest.raises(IndexError):
+        orders[4]
+
+
+def test_orders_equal_the_eager_list_from_either_side():
+    d0, d1, _ = (MultiPoly.variable(NUM_VARS, s) for s in range(NUM_VARS))
+    eager = [d0, d0 * d1]
+
+    def orders():
+        return _packed.Orders(NUM_VARS, RADIX, [pack(poly) for poly in eager])
+
+    assert orders() == eager and eager == orders() and orders() == orders()
+    assert not orders() != eager and not eager != orders()
+    for other in ([d0, d1], [d0], eager + [d1], []):
+        assert orders() != other and other != orders()
+    assert orders() != tuple(eager) and orders() != eager[0]
