@@ -11,12 +11,13 @@ as :class:`Orders`, which keeps each order packed until it is read and
 then turns it into a :class:`~fussnarayana.poly.MultiPoly` with
 :func:`unpack`, so a caller that reads one order unpacks one.
 
-The series solver runs the one truncated-series kernel of
-:mod:`fussnarayana.series` on these dicts, with :func:`add_product` as
-the ring's multiply-accumulate; the interval counter of ``partitions``
-calls :func:`add_product` directly.  The closed form, the brute listing
-and Lagrange inversion stay on ``MultiPoly`` on purpose, so a packing
-bug shows up as a disagreement between routes.
+The series solver and the interval counter of ``partitions`` run the
+one truncated-series kernel of :mod:`fussnarayana.series` on these
+dicts, with :func:`add_product` as the ring's multiply-accumulate; the
+counter's is shifted by the monomial of a block's profile slot.  The
+counter's plain counts run on Python ints instead.  The closed form,
+the brute listing and Lagrange inversion stay on ``MultiPoly`` on
+purpose, so a packing bug shows up as a disagreement between routes.
 """
 
 from __future__ import annotations

@@ -252,16 +252,16 @@ def cmd_enumerate(args) -> int:
         for pi in partitions.enumerate_adapted(spec, budget=budget):
             print(pi.to_line() if pi.size else "()")
         return 0
+    if args.mode == "count":
+        print(partitions.count_adapted(args.p, args.k, args.shift, budget))
+        return 0
     counts = partitions.profile_histogram(args.p, args.k, args.shift, budget)[args.k].terms
-    if args.mode == "profiles":
-        print(_json_text({
-            "profiles": [
-                {"profile": list(prof), "count": count}
-                for prof, count in sorted(counts.items())
-            ],
-        }))
-    else:
-        print(sum(counts.values()))
+    print(_json_text({
+        "profiles": [
+            {"profile": list(prof), "count": count}
+            for prof, count in sorted(counts.items())
+        ],
+    }))
     return 0
 
 
@@ -412,7 +412,7 @@ def cmd_diagram(args) -> int:
     spec = partitions.WordSpec(args.p, args.shift, args.k)
     budget = _budget()
     # the counter checks the index, so the listing stops at the chosen matching
-    count = sum(partitions.profile_histogram(args.p, args.k, args.shift, budget)[args.k].terms.values())
+    count = partitions.count_adapted(args.p, args.k, args.shift, budget)
     if not 0 <= args.index < count:
         raise ValueError(
             f"--index {args.index} outside 0..{count - 1} "

@@ -35,6 +35,20 @@ def _exact_div(numerator: int, denominator: int) -> int:
     return quotient
 
 
+def _integer(function: str, name: str, value) -> int:
+    """``value`` read with ``operator.index``.
+
+    A value that is not an integer raises ``ValueError`` naming
+    ``function`` and the argument ``name``, so a float or str never
+    reaches the arithmetic, to fail there with a ``TypeError`` or to be
+    truncated.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{function} requires an integer {name}, got {name}={value!r}") from None
+
+
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k); zero outside 0 <= k <= n.
 
@@ -42,6 +56,7 @@ def binomial(n: int, k: int) -> int:
     yields 0 rather than an error, which keeps summation formulas free
     of boundary cases.
     """
+    n, k = _integer("binomial", "n", n), _integer("binomial", "k", k)
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got n={n}")
     if k < 0 or k > n:
@@ -56,6 +71,7 @@ def fuss_catalan(p: int, k: int) -> int:
     k-fold repetition of a fixed alternating word on p letter pairs.
     Equals (1/(pk+1)) * C((p+1)k, k).
     """
+    p, k = _integer("fuss_catalan", "p", p), _integer("fuss_catalan", "k", k)
     if p < 1 or k < 1:
         raise ValueError(f"fuss_catalan requires p >= 1 and k >= 1, got p={p}, k={k}")
     return _exact_div(binomial((p + 1) * k, p * k + 1), k)
@@ -71,10 +87,7 @@ def fuss_narayana_number(k: int, index: Sequence[int]) -> int:
     freely.  The product of binomials is always divisible by k on the
     support; the division is checked.
     """
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"fuss_narayana_number requires an integer k, got k={k!r}") from None
+    k = _integer("fuss_narayana_number", "k", k)
     if k < 1:
         raise ValueError(f"fuss_narayana_number requires k >= 1, got k={k}")
     try:
@@ -114,6 +127,7 @@ def vandermonde_decomposition(p: int, k: int) -> tuple[int, int]:
     closed form.  The two must agree; returning both lets callers assert
     the equality rather than trust either formula alone.
     """
+    p, k = _integer("vandermonde_decomposition", "p", p), _integer("vandermonde_decomposition", "k", k)
     if p < 1 or k < 1:
         raise ValueError(f"vandermonde_decomposition requires p >= 1 and k >= 1, got p={p}, k={k}")
     refined = sum(fuss_narayana_number(k, js) for js in _compositions(p * k + 1, p + 1, 1, k))
@@ -132,6 +146,7 @@ def limit_moment_poly(p: int, k: int) -> MultiPoly:
     The term order is fixed: ``terms`` lists j0 ascending and, for each
     j0, the exponents ``(j1, ..., jp)`` in ascending lexicographic order.
     """
+    p, k = _integer("limit_moment_poly", "p", p), _integer("limit_moment_poly", "k", k)
     if p < 1 or k < 0:
         raise ValueError(f"limit_moment_poly requires p >= 1 and k >= 0, got p={p}, k={k}")
     if k == 0:
@@ -183,6 +198,7 @@ def fuss_narayana_poly(p: int, k: int) -> MultiPoly:
     P_k is homogeneous of degree ``p*k``, so dropping the d0 exponent maps
     its terms one to one; a collision raises ``ArithmeticError``.
     """
+    p, k = _integer("fuss_narayana_poly", "p", p), _integer("fuss_narayana_poly", "k", k)
     full = limit_moment_poly(p, k).terms
     terms = {exps[1:]: coeff for exps, coeff in full.items()}
     if len(terms) != len(full):

@@ -34,14 +34,17 @@ matching on a length-2pk word always sum to pk, the number of blocks.
 For the shift-0 word the generating polynomial of profiles equals the
 limit moment polynomial.
 
-Counting and listing.  ``profile_histogram`` counts matchings by
-profile with the first-block recurrence on intervals of the periodic
-word, without building a matching; like the walk, it reads each
-block's mate distance and profile slot off one period.  It returns the
-profile polynomials of orders 0..k, read off one table of intervals, as
-a sequence that makes entry j a ``MultiPoly`` when it is read; at shift
-0 entry k is the limit moment polynomial P_k, and
-the count of one profile is its coefficient in ``.terms``.
+Counting and listing.  One counter, ``_count``, counts matchings with
+the first-block recurrence on intervals of the periodic word, without
+building a matching; like the walk, it reads each block's mate distance
+and profile slot off one period.  The recurrence is a truncated-series
+product, so it runs on the kernel of :mod:`fussnarayana.series`, in any
+ring.  ``profile_histogram`` runs it on packed monomial dicts and
+returns the profile polynomials of orders 0..k as a sequence that makes
+entry j a ``MultiPoly`` when it is read; at shift 0 entry k is the
+limit moment polynomial P_k, and the count of one profile is its
+coefficient in ``.terms``.  ``count_adapted`` runs it on Python ints
+and returns the number of matchings alone, with no histogram.
 ``enumerate_adapted`` and ``leg_profile`` list and profile them one by
 one, and ``listed_histograms`` collects those brute histograms for
 every shift and order into one table of profile polynomials.  Both
@@ -66,10 +69,9 @@ import operator
 from collections import Counter, namedtuple
 from collections.abc import Iterator, Sequence
 
-from . import _packed
+from . import _packed, series
 from .poly import MultiPoly
 from .report import Report
-from .series import truncated_mul
 
 #: Largest word length 2pk the enumeration routines accept by default.
 DEFAULT_BUDGET = 16
@@ -330,6 +332,50 @@ def leg_profile(pi: PairPartition, word: Sequence[Letter]) -> tuple[int, ...]:
     return _profile(pi, word, codes, slots, max(letter.index for letter in word) + 1)
 
 
+def _count(p: int, k: int, shift: int, zero, one, accumulate_for_slot) -> list:
+    """Adapted matchings of the shift-``shift`` words of orders 0..k, counted in one ring.
+
+    The ring is its ``one``, a factory ``zero()`` of its zero, and
+    ``accumulate_for_slot(slot)``, the multiply-accumulate of a block that
+    feeds profile slot ``slot``; it may weight each pair by that slot.
+    Counted by the first-block recurrence, without listing a matching.
+    The word is 2p-periodic, so the count of an interval depends only on
+    its start offset a mod 2p and its number of blocks l, half its
+    length; call it H_a[l].  The interval's first position pairs with
+    each copy of its mate, at the odd distances m = f_a + 2pr, f_a from
+    ``_period``, which leaves the inside interval at offset a + 1 and the
+    outside one at the fixed offset o_a = (a + f_a + 1) mod 2p.  The
+    block feeds the profile slot ``_period`` gives a, by the factor
+    leg_a.  With s = (m + 1)/2 that is
+
+        H_a[l] = leg_a [x^l] (A_a * H_{o_a}),
+
+    where A_a[s] = H_{a+1}[s - 1] at s = c_a + pr, c_a = (f_a + 1)/2,
+    and is zero at every other s, which the kernel skips.  Entry l reads
+    only orders below l, so every series is extended one order at a
+    time by :func:`fussnarayana.series.product_coefficient`, as the
+    series solve extends g.  The order-j word is the interval (0, 2pj),
+    so entry j of the result is H_0[pj].
+    """
+    WordSpec(p, shift, k)  # validate arguments
+    period = 2 * p
+    first_mate, slots = _period(p, shift)
+    starts = [(f + 1) // 2 for f in first_mate]
+    outsides = [(a + f + 1) % period for a, f in enumerate(first_mate)]
+    accumulates = [accumulate_for_slot(slot) for slot in slots]
+    nothing = zero()  # read only, so one zero fills every gap of A_a
+    counts = [[one] for _ in range(period)]  # H_a, indexed by the number of blocks
+    firsts = [[nothing] for _ in range(period)]  # A_a
+    for blocks in range(1, p * k + 1):
+        # the whole word is the one interval of full length asked for
+        for a in range(period) if blocks < p * k else (0,):
+            closes = blocks >= starts[a] and (blocks - starts[a]) % p == 0
+            firsts[a].append(counts[(a + 1) % period][blocks - 1] if closes else nothing)
+            counts[a].append(series.product_coefficient(
+                firsts[a], counts[outsides[a]], blocks, zero(), accumulates[a]))
+    return [counts[0][p * j] for j in range(k + 1)]
+
+
 def profile_histogram(
     p: int, k: int, shift: int = 0, budget: int = DEFAULT_BUDGET
 ) -> _packed.Orders:
@@ -341,42 +387,40 @@ def profile_histogram(
     moment polynomial P_j, indexed like the series route's g[0..k]; no
     binomial is computed here, and at order 0 the empty matching gives 1.
 
-    Counted by the first-block recurrence, without listing a matching.
-    The word is 2p-periodic, so the histogram of an interval depends only
-    on its start offset mod 2p and its length L.  The interval's first
-    position pairs with each copy of its mate, at the odd distances m
-    from ``_period``; that block feeds the slot ``_period`` gives, and
-    the rest splits into the inside interval (offset + 1, m - 1) and the
-    outside one (offset + m + 1, L - m - 1).
-    The order-j word is the interval (0, 2pj), so the one table of
-    interval histograms, which lives for one call, holds every order.
-    The budget caps 2pk exactly as for ``enumerate_adapted``.
+    :func:`_count` in the packed ring: an interval's histogram is a
+    packed-key term dict, and the accumulate of offset a is
+    ``_packed.add_product`` shifted by the monomial of a's profile slot,
+    so each pair of inside and outside histograms lands in the slot its
+    first block feeds.  The budget caps 2pk exactly as for
+    ``enumerate_adapted``.
 
     Returns the k + 1 entries as a :class:`~fussnarayana._packed.Orders`,
     which turns entry j into a ``MultiPoly`` the first time it is read
     and equals the list of them, so reading one order unpacks one.
     """
     _check_budget(p, k, budget)
-    WordSpec(p, shift, k)  # validate arguments
-    period, size = 2 * p, 2 * p * k
-    # Histograms are packed-key term dicts; no slot exceeds the pk blocks,
-    # so radix pk + 1 packs every profile.
+    # No slot exceeds the pk blocks, so radix pk + 1 packs every profile.
     radix = p * k + 1
     units = _packed.units(p + 1, radix)
-    first_mate, slots = _period(p, shift)
-    leg_key = [units[slot] for slot in slots]
 
-    table: dict[tuple[int, int], dict[int, int]] = {(a, 0): {0: 1} for a in range(period)}
-    for length in range(2, size + 1, 2):
-        # the whole word is the one interval of full length asked for
-        for a in range(period) if length < size else (0,):
-            hist: dict[int, int] = {}
-            for m in range(first_mate[a], length, period):
-                _packed.add_product(hist, table[(a + 1) % period, m - 1],
-                                    table[(a + m + 1) % period, length - m - 1], leg_key[a])
-            table[a, length] = hist
+    def accumulate_for_slot(slot):
+        # a closure, not functools.partial: a partial's keyword costs ~0.2 us a call
+        unit = units[slot]
+        return lambda total, a, b: _packed.add_product(total, a, b, unit)
 
-    return _packed.Orders(p + 1, radix, [table[0, period * j] for j in range(k + 1)])
+    return _packed.Orders(p + 1, radix, _count(p, k, shift, dict, {0: 1}, accumulate_for_slot))
+
+
+def count_adapted(p: int, k: int, shift: int = 0, budget: int = DEFAULT_BUDGET) -> int:
+    """The number of noncrossing matchings adapted to the shift-``shift`` word of order k.
+
+    :func:`_count` in the int ring, so no histogram is built: the total
+    of ``profile_histogram(p, k, shift)[k]``, which at every shift is the
+    Fuss-Catalan number ``fuss_catalan(p, k)`` for k >= 1, and 1 at
+    k = 0.  The budget caps 2pk exactly as for ``enumerate_adapted``.
+    """
+    _check_budget(p, k, budget)
+    return _count(p, k, shift, int, 1, lambda slot: series._add_product)[-1]
 
 
 # -- cover rotation ----------------------------------------------------------
@@ -503,7 +547,7 @@ def verify_product_decomposition(hists: Sequence[Sequence[MultiPoly]]) -> Report
     d_product = MultiPoly(num_vars, {(0,) + (1,) * p: 1})
     product = hists[0]
     for s in hists[1:]:
-        product = truncated_mul(product, s, k_max, zero)
+        product = series.truncated_mul(product, s, k_max, zero)
     lhs = [hists[0][0] - 1] + list(hists[0][1:])
     rhs = [zero] + [c * d_product for c in product[:-1]]
     for k in range(k_max + 1):

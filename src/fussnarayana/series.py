@@ -14,7 +14,17 @@ ring supplies only its multiply-accumulate ``add_product(total, a, b)``.
 The default, ``total + a * b``, serves Python ints, exact rationals and
 :class:`~fussnarayana.poly.MultiPoly`; packed-key term dicts pass
 :func:`fussnarayana._packed.add_product`, which adds every pair product
-into one dict.
+into one dict.  The rings in use:
+
+* packed-key term dicts: the symbolic series solve, and the interval
+  counter of :mod:`fussnarayana.partitions` for profile histograms,
+  whose accumulate also multiplies by the monomial of a block's
+  profile slot;
+* Python ints: the solve at integer-scaled rational d_i, the
+  S-transform check of :mod:`fussnarayana.freeprob`, and the interval
+  counter for plain counts (``partitions.count_adapted``);
+* ``MultiPoly``: Lagrange inversion and the lemma sweep's product
+  decomposition.
 
 Two routes to the moment generating series live here.  Only the first is
 independent of the closed form in :mod:`fussnarayana.exact`: with

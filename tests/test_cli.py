@@ -246,6 +246,24 @@ def test_verify_oracle_catches_a_square_without_its_middle_term(capsys, monkeypa
     }
 
 
+def test_verify_oracle_catches_a_kernel_fault_the_counter_and_solver_share(capsys, monkeypatch):
+    # the counter and the series solve both run on product_coefficient; with
+    # its last index pair dropped both go wrong together, and only the closed
+    # form, which shares no code with them, can tell
+    honest = series.product_coefficient
+
+    def no_last_pair(a, b, n, zero, *ring):
+        return honest(a[:min(n, len(a) - 1)], b, n, zero, *ring)
+
+    monkeypatch.setattr(series, "product_coefficient", no_last_pair)
+    assert partitions.count_adapted(1, 3) != exact.fuss_catalan(1, 3)
+    mismatches = oracle_mismatches(capsys, "16")
+    assert list(mismatches) == [f"three-route agreement p={p} k<={16 // (2 * p)}" for p in (1, 2, 3)]
+    for found in mismatches.values():
+        assert "k=1: closed form and enumeration disagree" in found
+        assert "k=1: closed form and series solver disagree" in found
+
+
 def test_verify_oracle_catches_elementary_polynomials_of_too_few_dims(capsys, monkeypatch):
     honest = series._elementary
     monkeypatch.setattr(series, "_elementary", lambda ds, *ring: honest(ds[1:], *ring))
@@ -291,24 +309,26 @@ P25, P24 = exact.limit_moment_poly(2, 5), exact.limit_moment_poly(2, 4)
 @pytest.mark.parametrize("command,expected", [
     ("poly -p 3 -k 8 --series", [exact.limit_moment_poly(3, 8) * MultiPoly.variable(4, 0)]),
     ("poly -p 2 -k 5 --enumerate", [P25]),
-    ("enumerate -p 2 -k 5 --count", [P25]),
+    ("enumerate -p 2 -k 5 --count", []),
     ("enumerate -p 2 -k 5 --profiles", [P25]),
     ("poly -p 2 -k 4 --all-methods", [P24, P24 * MultiPoly.variable(3, 0)]),
 ])
 def test_a_command_unpacks_only_the_order_it_prints(capsys, monkeypatch, unpacked, command, expected):
     # the series solve and the counter return orders 0..k packed; a command
-    # reads order k alone, the series route's as g_k = d0 P_k
+    # reads order k alone, the series route's as g_k = d0 P_k, and a count
+    # runs the counter in the int ring, which builds no histogram
     monkeypatch.setenv("FN_BUDGET", "20")
     code, _, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert unpacked == expected
 
 
-def test_diagram_index_check_unpacks_one_order(capsys, unpacked, tmp_path):
+def test_diagram_index_check_unpacks_no_order(capsys, unpacked, tmp_path):
+    # the index is checked against the int-ring count, so no histogram is built
     code, _, _ = run_cli(capsys, "diagram", "-p", "2", "-k", "3", "--index", "11",
                          "--svg", str(tmp_path / "last.svg"))
     assert code == 0
-    assert unpacked == [exact.limit_moment_poly(2, 3)]
+    assert unpacked == []
 
 
 def test_verify_oracle_reads_every_order(capsys, unpacked):

@@ -8,6 +8,7 @@ material.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,25 @@ def test_fuss_narayana_number_reads_integer_like_orders():
     numpy = pytest.importorskip("numpy")
     assert fuss_narayana_number(numpy.int64(3), (numpy.int32(2), 2)) == 3
     assert fuss_narayana_number(True, (1,)) == 1
+
+
+@pytest.mark.parametrize("function", [binomial, fuss_catalan, vandermonde_decomposition,
+                                      limit_moment_poly, fuss_narayana_poly], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("args", [(2, 2.5), (2, 2.0), (2, "3"), (Fraction(2), 3), (None, 3)], ids=repr)
+def test_integer_arguments_are_read_strictly(function, args):
+    # a ValueError naming the argument, not a TypeError from the arithmetic
+    position = 0 if type(args[0]) is not int else 1
+    name = ("n" if function is binomial else "p", "k")[position]
+    message = f"{function.__name__} requires an integer {name}, got {name}={args[position]!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(*args)
+
+
+def test_integer_arguments_take_integer_like_values():
+    numpy = pytest.importorskip("numpy")
+    assert binomial(numpy.int64(4), numpy.int32(2)) == 6
+    assert fuss_catalan(numpy.int64(2), True) == 1
+    assert limit_moment_poly(numpy.int64(2), numpy.int64(2)) == limit_moment_poly(2, 2)
 
 
 @pytest.mark.parametrize("p,k", [(0, 2), (2, 0)])

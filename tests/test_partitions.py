@@ -17,6 +17,7 @@ from fussnarayana.partitions import (
     WordSpec,
     base_word,
     build_word,
+    count_adapted,
     enumerate_adapted,
     leg_profile,
     listed_histograms,
@@ -378,6 +379,39 @@ def test_profile_histogram_equals_brute_enumeration():
         brute = listed_histograms(p, k_max, 16)
         for shift in range(p + 1):
             assert profile_histogram(p, k_max, shift, 16) == brute[shift], (p, shift)
+
+
+@pytest.mark.parametrize("p,k", [(1, 200), (3, 60), (8, 20)])
+def test_count_adapted_reaches_the_fuss_catalan_number(p, k):
+    # the int ring of the interval counter, far past any listing
+    assert count_adapted(p, k, budget=2 * p * k) == fuss_catalan(p, k)
+
+
+def test_count_adapted_is_fuss_catalan_at_every_shift():
+    for p in range(1, 21):
+        for k in range(1, 40 // (2 * p) + 1):
+            for shift in range(p + 1):
+                assert count_adapted(p, k, shift, budget=40) == fuss_catalan(p, k), (p, k, shift)
+
+
+def test_count_adapted_equals_the_listed_matchings():
+    for p in range(1, 9):
+        for k in range(16 // (2 * p) + 1):
+            for shift in range(p + 1):
+                listed = sum(1 for _ in enumerate_adapted(WordSpec(p, shift, k)))
+                assert count_adapted(p, k, shift) == listed, (p, k, shift)
+
+
+def test_count_adapted_checks_its_budget_and_arguments():
+    with pytest.raises(BudgetError):
+        count_adapted(2, 5)
+    with pytest.raises(BudgetError):
+        count_adapted(2, 0, budget=-1)
+    assert count_adapted(2, 5, budget=20) == fuss_catalan(2, 5)
+    with pytest.raises(ValueError, match="need p >= 1"):
+        count_adapted(0, 0)
+    with pytest.raises(ValueError, match="shift must lie in"):
+        count_adapted(2, 1, shift=3)
 
 
 def test_profiles_sum_to_block_count():
