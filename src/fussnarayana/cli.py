@@ -16,22 +16,24 @@ byte-for-byte what ``json.dumps(doc, indent=2)`` prints for the same
 document; ``_json_text`` writes it without the pure-Python indenting
 encoder.
 
-Each command imports only the layers it runs.  ``poly``, ``enumerate``,
-``verify --suite oracle|lemmas`` and ``diagram`` load neither numpy nor
-scipy; ``mc`` loads numpy, through ``rmt``; ``moments`` and ``verify
---suite freeprob`` load scipy and numpy, through ``freeprob``.  Only the
-one-shape quadrature cross-check calls scipy, but ``freeprob`` imports
-``scipy.integrate.quad`` at module level: ``bench/worker.py`` reads
-``sys.modules["scipy"]`` after its operations and finds scipy there only
-because its workloads import ``freeprob``, so that import can move into
-``quadrature_moments`` only once the worker reads scipy's version
-another way.
+Each command imports only the layers it runs, and ``verify`` the module
+that its suite's row of ``SUITES`` names.  ``poly``, ``enumerate``,
+``verify --suite oracle|lemmas`` (in ``partitions``) and ``diagram`` load
+neither numpy nor scipy; ``mc`` loads numpy, through ``rmt``; ``moments``
+and ``verify --suite freeprob`` load scipy and numpy, through
+``freeprob``.  Only the one-shape quadrature cross-check calls scipy, but
+``freeprob`` imports ``scipy.integrate.quad`` at module level:
+``bench/worker.py`` reads ``sys.modules["scipy"]`` after its operations
+and finds scipy there only because its workloads import ``freeprob``, so
+that import can move into ``quadrature_moments`` only once the worker
+reads scipy's version another way.
 
 ``import fussnarayana.cli`` itself loads the exact layers (``exact``,
 ``partitions``, ``series``, ``poly``, ``report``) and the standard
-library's ``argparse``, ``fractions`` and ``json.encoder``; it loads no
-``dataclasses``, ``inspect`` or ``typing``.  Its records are namedtuples
-or plain classes, and its annotations name ``collections.abc``.
+library's ``argparse``, ``fractions``, ``importlib`` and
+``json.encoder``; it loads no ``dataclasses``, ``inspect`` or
+``typing``.  Its records are namedtuples or plain classes, and its
+annotations name ``collections.abc``.
 
 ``main(argv)`` may be called many times in one process.  Each
 subcommand's parser is built on its first call, with a root parser of
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import itertools
 import os
 import sys
@@ -52,7 +55,6 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import exact, partitions
 from .poly import MultiPoly
-from .report import Report
 from .series import solve_functional_equation
 
 
@@ -124,6 +126,14 @@ def _json_text(doc, indent: str = "\n") -> str:
 # the subcommands, in the order the root usage lists them
 COMMANDS = ("poly", "enumerate", "verify", "moments", "mc", "diagram")
 
+# each verify suite, in --suite's order: the module and function that run it, imported
+# on demand, and the flags it reads, passed after FN_BUDGET as keywords p, k_max, pk_budget
+SUITES = {
+    "lemmas": ("partitions", "lemma_suite", ("-p", "--k-max")),
+    "oracle": ("partitions", "oracle_suite", ("-p", "--k-max", "--pk-budget")),
+    "freeprob": ("freeprob", "freeprob_suite", ("--k-max",)),
+}
+
 
 @functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -171,7 +181,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if command in (None, "verify"):
         verify = sub.add_parser("verify", help="run an exhaustive verification sweep")
-        verify.add_argument("--suite", choices=("lemmas", "oracle", "freeprob"), required=True)
+        verify.add_argument("--suite", choices=tuple(SUITES), required=True)
         verify.add_argument("-p", type=int, default=None, help="restrict to one factor count")
         verify.add_argument("--k-max", type=int, default=None, help="largest order to sweep")
         verify.add_argument("--pk-budget", type=int, default=None,
@@ -266,103 +276,21 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Run one suite; a flag the suite does not read, or an empty sweep, is an error."""
+    """Run one suite of ``SUITES``; a flag it does not read, or an empty sweep, is an error."""
     budget = _budget()
-    unread = {"lemmas": [("--pk-budget", args.pk_budget)],
-              "freeprob": [("-p", args.p), ("--pk-budget", args.pk_budget)]}
-    for flag, value in unread.get(args.suite, []):
-        if value is not None:
+    module, function, reads = SUITES[args.suite]
+    given = {"-p": args.p, "--k-max": args.k_max, "--pk-budget": args.pk_budget}
+    for flag, value in given.items():
+        if flag not in reads and value is not None:
             raise ValueError(f"verify --suite {args.suite} does not read {flag}")
     for flag, value in (("-p", args.p), ("--k-max", args.k_max)):
         if value is not None and value < 1:
             raise ValueError(f"verify needs {flag} >= 1, got {value}")
-    reports = []
-    if args.suite == "lemmas":
-        if args.p is not None:
-            pairs = [(args.p, 2 if args.k_max is None else args.k_max)]
-        elif args.k_max is not None:
-            pairs = [(p, args.k_max) for p in (1, 2, 3)]
-        else:
-            pairs = [(1, 4), (2, 2), (3, 2)]
-        for p, k_max in pairs:
-            hists = partitions.listed_histograms(p, k_max, budget=budget)
-            reports.append(partitions.verify_shift_identity(hists))
-            reports.append(partitions.verify_product_decomposition(hists))
-    elif args.suite == "oracle":
-        cap = args.pk_budget if args.pk_budget is not None else max(budget, 40)
-        ps = (1, 2, 3) if args.p is None else (args.p,)
-        pairs = [(p, cap // (2 * p) if args.k_max is None else args.k_max) for p in ps]
-        pairs = [(p, k_max) for p, k_max in pairs if k_max >= 1]
-        if not pairs:
-            raise ValueError(f"verify --suite oracle: no order k >= 1 has 2*p*k <= {cap} "
-                             f"for p in {list(ps)}")
-        for p, k_max in pairs:
-            reports.append(_oracle_sweep(p, k_max, max(cap, budget)))
-    else:
-        k_max = 6 if args.k_max is None else args.k_max
-        if k_max < 2:
-            raise ValueError(f"verify --suite freeprob needs --k-max >= 2, got {k_max}")
-        reports.append(_freeprob_sweep(k_max))
+    suite = getattr(importlib.import_module(f".{module}", __package__), function)
+    reports = suite(budget, **{flag.lstrip("-").replace("-", "_"): given[flag] for flag in reads})
     ok = all(r.ok for r in reports)
-    print(_json_text({
-        "suite": args.suite,
-        "ok": ok,
-        "reports": [r.to_dict() for r in reports],
-    }))
+    print(_json_text({"suite": args.suite, "ok": ok, "reports": [r.to_dict() for r in reports]}))
     return 0 if ok else 1
-
-
-def _oracle_sweep(p: int, k_max: int, budget: int):
-    """Closed form, counted matchings and one series solve to k_max, order by order."""
-    report = Report(name=f"three-route agreement p={p} k<={k_max}")
-    # counted first, so an order over the budget fails before any other work
-    enumerated = partitions.profile_histogram(p, k_max, 0, budget)
-    g = solve_functional_equation(p, k_max)
-    for k, counted in enumerate(enumerated):
-        closed = exact.limit_moment_poly(p, k)
-        report.tally(closed == counted,
-                     f"k={k}: closed form and enumeration disagree")
-        if k >= 1:
-            report.tally(closed == g[k].divide_by_variable(0),
-                         f"k={k}: closed form and series solver disagree")
-            refined, total = exact.vandermonde_decomposition(p, k)
-            # one monomial per matching, so the coefficients sum to the count
-            count = sum(counted.terms.values())
-            report.tally(refined == total == count,
-                         f"k={k}: counts disagree: {refined}, {total}, {count}")
-    return report
-
-
-# the shape tuples of ``verify --suite freeprob``
-FREEPROB_FIXTURES = (
-    (Fraction(1),), (Fraction(2),), (Fraction(1, 2),),
-    (Fraction(1), Fraction(1)), (Fraction(2), Fraction(3)),
-    (Fraction(1, 2), Fraction(3), Fraction(5, 7)),
-    (Fraction(1), Fraction(1), Fraction(1), Fraction(4, 3)),
-)
-
-
-def _freeprob_sweep(k_max: int):
-    from . import freeprob
-
-    report = Report(name=f"free convolution k<={k_max}")
-    closed = {}
-    for shapes in FREEPROB_FIXTURES:
-        by_series = freeprob.moments_by_series(shapes, k_max)
-        by_closed = closed[shapes] = freeprob.moments_by_closed_form(shapes, k_max)
-        report.tally(by_series.values == by_closed.values,
-                     f"shapes {shapes}: series and closed-form moments disagree")
-        inner = freeprob.s_transform_check(freeprob.MomentTable(by_series.shapes, by_series.values[:6]))
-        report.checks += inner.checks
-        report.mismatches += [f"shapes {shapes}: {m}" for m in inner.mismatches]
-    # the one-factor fixtures' tables, reused for the quadrature orders
-    for t in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        numeric = freeprob.quadrature_moments(t, min(k_max, 8))
-        for k, estimate in enumerate(numeric, start=1):
-            target = float(closed[(t,)].moment(k))
-            report.tally(abs(estimate - target) <= 1e-8 * max(1.0, abs(target)),
-                         f"t={t} k={k}: quadrature {estimate!r} vs exact {target!r}")
-    return report
 
 
 def cmd_moments(args) -> int:

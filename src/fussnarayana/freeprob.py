@@ -23,12 +23,13 @@ the leading ratio pinned to 1.  Four independent routes are exposed:
 * :func:`quadrature_moments`, numerical quadrature against the density
   itself (one factor only).
 
-:func:`s_transform_check` tests a moment table it is given, in practice
-the series route's, against the product of S-transforms.  Like the
-series solve, it runs on integers: with q the lcm of the shapes'
-denominators, G_k = q^(pk+1) m_k is an integer for the true moments,
-and the identity's residual R, scaled by q^(pK+1), comes out in integer
-arithmetic.
+:func:`freeprob_suite`, ``verify --suite freeprob``, compares the routes
+on ``FREEPROB_FIXTURES``.  :func:`s_transform_check` tests a moment table
+it is given, there the series route's, against the product of
+S-transforms.  Like the series solve, it runs on integers: with q the
+lcm of the shapes' denominators, G_k = q^(pk+1) m_k is an integer for
+the true moments, and the identity's residual R, scaled by q^(pK+1),
+comes out in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -287,3 +288,37 @@ def quadrature_moments(t, order: int) -> list[float]:
             )
         out.append(moment)
     return out
+
+
+#: The shape tuples of :func:`freeprob_suite`.
+FREEPROB_FIXTURES = (
+    (Fraction(1),), (Fraction(2),), (Fraction(1, 2),),
+    (Fraction(1), Fraction(1)), (Fraction(2), Fraction(3)),
+    (Fraction(1, 2), Fraction(3), Fraction(5, 7)),
+    (Fraction(1), Fraction(1), Fraction(1), Fraction(4, 3)),
+)
+
+
+def freeprob_suite(budget: int, k_max: int | None = None) -> list[Report]:
+    """``verify --suite freeprob``: every route on the fixtures; no route reads ``budget``."""
+    k_max = 6 if k_max is None else k_max
+    if k_max < 2:
+        raise ValueError(f"verify --suite freeprob needs --k-max >= 2, got {k_max}")
+    report = Report(name=f"free convolution k<={k_max}")
+    closed = {}
+    for shapes in FREEPROB_FIXTURES:
+        by_series = moments_by_series(shapes, k_max)
+        by_closed = closed[shapes] = moments_by_closed_form(shapes, k_max)
+        report.tally(by_series.values == by_closed.values,
+                     f"shapes {shapes}: series and closed-form moments disagree")
+        inner = s_transform_check(MomentTable(by_series.shapes, by_series.values[:6]))
+        report.checks += inner.checks
+        report.mismatches += [f"shapes {shapes}: {m}" for m in inner.mismatches]
+    # the one-factor fixtures' tables, reused for the quadrature orders
+    for t in (Fraction(1, 2), Fraction(1), Fraction(2)):
+        numeric = quadrature_moments(t, min(k_max, 8))
+        for k, estimate in enumerate(numeric, start=1):
+            target = float(closed[(t,)].moment(k))
+            report.tally(abs(estimate - target) <= 1e-8 * max(1.0, abs(target)),
+                         f"t={t} k={k}: quadrature {estimate!r} vs exact {target!r}")
+    return [report]

@@ -48,9 +48,10 @@ and returns the number of matchings alone, with no histogram.
 ``enumerate_adapted`` and ``leg_profile`` list and profile them one by
 one, and ``listed_histograms`` collects those brute histograms for
 every shift and order into one table of profile polynomials.  Both
-verification sweeps take that table, because the identities they check
-are the recurrence the counter relies on, so each word is listed once
-for both.  Both ways refuse words longer than the budget
+lemma sweeps take that table, because the identities they check are the
+recurrence the counter relies on, so ``lemma_suite`` lists each word once
+for both; ``oracle_suite`` checks the counter against the closed form
+and the series solve.  Both ways refuse words longer than the budget
 (``BudgetError``).
 
 Cover rotation.  ``rotate_cover`` turns the 2pk positions one step left
@@ -69,7 +70,7 @@ import operator
 from collections import Counter, namedtuple
 from collections.abc import Iterator, Sequence
 
-from . import _packed, series
+from . import _packed, exact, series
 from .poly import MultiPoly
 from .report import Report
 
@@ -575,3 +576,49 @@ def verify_product_decomposition(hists: Sequence[Sequence[MultiPoly]]) -> Report
                 f"d1...dp times the convolution has {total.get(j, 0)}",
             )
     return report
+
+
+def lemma_suite(budget: int, p: int | None = None, k_max: int | None = None) -> list[Report]:
+    """``verify --suite lemmas``: both lemma sweeps on one listed table per (p, k_max)."""
+    if p is not None:
+        pairs = [(p, 2 if k_max is None else k_max)]
+    elif k_max is not None:
+        pairs = [(q, k_max) for q in (1, 2, 3)]
+    else:
+        pairs = [(1, 4), (2, 2), (3, 2)]
+    reports = []
+    for q, k in pairs:
+        hists = listed_histograms(q, k, budget=budget)
+        reports += [verify_shift_identity(hists), verify_product_decomposition(hists)]
+    return reports
+
+
+def oracle_suite(budget: int, p: int | None = None, k_max: int | None = None,
+                 pk_budget: int | None = None) -> list[Report]:
+    """``verify --suite oracle``: one three-route sweep per p, to ``k_max`` or the 2pk cap."""
+    cap = pk_budget if pk_budget is not None else max(budget, 40)
+    ps = (1, 2, 3) if p is None else (p,)
+    pairs = [(q, cap // (2 * q) if k_max is None else k_max) for q in ps]
+    pairs = [(q, k) for q, k in pairs if k >= 1]
+    if not pairs:
+        raise ValueError(f"verify --suite oracle: no order k >= 1 has 2*p*k <= {cap} "
+                         f"for p in {list(ps)}")
+    reports = []
+    for q, top in pairs:
+        report = Report(name=f"three-route agreement p={q} k<={top}")
+        # counted first, so an order over the budget fails before any other work
+        enumerated = profile_histogram(q, top, 0, max(cap, budget))
+        g = series.solve_functional_equation(q, top)
+        for k, counted in enumerate(enumerated):
+            closed = exact.limit_moment_poly(q, k)
+            report.tally(closed == counted, f"k={k}: closed form and enumeration disagree")
+            if k >= 1:
+                report.tally(closed == g[k].divide_by_variable(0),
+                             f"k={k}: closed form and series solver disagree")
+                refined, total = exact.vandermonde_decomposition(q, k)
+                # one monomial per matching, so the coefficients sum to the count
+                count = sum(counted.terms.values())
+                report.tally(refined == total == count,
+                             f"k={k}: counts disagree: {refined}, {total}, {count}")
+        reports.append(report)
+    return reports

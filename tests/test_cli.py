@@ -1,6 +1,7 @@
 """End-to-end tests of the command line surface."""
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -277,13 +278,13 @@ def test_verify_oracle_catches_elementary_polynomials_of_too_few_dims(capsys, mo
 
 def test_verify_oracle_solves_each_series_once(capsys, monkeypatch):
     calls = []
-    honest = cli.solve_functional_equation
+    honest = series.solve_functional_equation
 
     def counted(p, order, *args, **kwargs):
         calls.append((p, order))
         return honest(p, order, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "solve_functional_equation", counted)
+    monkeypatch.setattr(series, "solve_functional_equation", counted)
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--pk-budget", "60")
     assert code == 0 and json.loads(out)["ok"] is True
     assert calls == [(1, 30), (2, 15), (3, 10)]
@@ -738,6 +739,19 @@ def test_a_failed_verify_prints_json_dumps_bytes(capsys, monkeypatch):
     assert code == 1
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
     assert json.loads(out)["reports"][1]["mismatches"] == broken.mismatches
+
+
+# stdout digests the benchmark pins, recorded at its budget (FN_BUDGET=20)
+GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "bench" / "golden.json")
+                    .read_text())["stdout_sha256"]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_stdout_matches_the_benchmark_golden_digest(capsys, monkeypatch, command):
+    monkeypatch.setenv("FN_BUDGET", "20")
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
 
 
 # -- one parser per process ------------------------------------------------------

@@ -8,9 +8,9 @@ import pytest
 from scipy.integrate import quad
 
 from fussnarayana import cli, freeprob
-from fussnarayana.cli import FREEPROB_FIXTURES
 from fussnarayana.exact import fuss_narayana_poly, limit_moment_poly
 from fussnarayana.freeprob import (
+    FREEPROB_FIXTURES,
     MomentTable,
     MpLaw,
     QuadratureError,
