@@ -15,6 +15,10 @@ polynomials assembled from those counts:
   a polynomial in ``t1..tp`` that also gives the moments of free
   multiplicative convolutions of Marchenko-Pastur laws.
 
+* ``limit_moment_value(dims, k)`` is the exact value of
+  ``limit_moment_poly(p, k)`` at a rational point, summed without
+  building the polynomial.
+
 Every division is guarded by an exact divisibility check, so a wrong
 formula fails loudly instead of silently rounding.
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator, Sequence
+from fractions import Fraction
 
 from .poly import MultiPoly
 
@@ -204,3 +209,62 @@ def fuss_narayana_poly(p: int, k: int) -> MultiPoly:
     if len(terms) != len(full):
         raise ArithmeticError(f"dropping d0 merged terms of P_{k} for p={p}")
     return MultiPoly._from_terms(p, terms)
+
+
+def limit_moment_value(dims: Sequence, k: int) -> Fraction:
+    """``limit_moment_poly(p, k)`` at the point ``dims``, without building it.
+
+    ``dims`` holds the p+1 >= 2 coordinates d0..dp, each read as
+    ``Fraction(d)``, which is exact for ints, Fractions and finite
+    floats; a non-finite coordinate raises ``ValueError``.  With q the
+    lcm of their denominators and a_i = q d_i, P_k is homogeneous of
+    degree pk, so P_k(d) = c / (k q^(pk)) with
+
+        c = [x^(pk+1)] F_0 F_1 ... F_p,
+        F_0 = sum_{j=1..k} C(k, j) a_0^(j-1) x^j,
+        F_i = sum_{j=1..k} C(k, j) a_i^j x^j  (i >= 1),
+
+    the generating form of the coefficients of :func:`limit_moment_poly`.
+    Nothing divides by d0, so d0 = 0 works.  The division by k is exact
+    or raises ``ArithmeticError``.  The factors are multiplied in turn,
+    each partial product kept only at the degrees from which the factors
+    still to come, each of degree 1 to k, can reach pk+1; the last one
+    adds a single coefficient.  O(p k^2) integer products.
+    """
+    k = _integer("limit_moment_value", "k", k)
+    try:
+        point = [Fraction(d) for d in dims]
+    except (OverflowError, ValueError):
+        raise ValueError(f"limit_moment_value requires finite coordinates, got {dims!r}") from None
+    p = len(point) - 1
+    if p < 1 or k < 0:
+        raise ValueError(f"limit_moment_value requires p+1 >= 2 dims and k >= 0, got {len(point)} dims, k={k}")
+    if k == 0:
+        return Fraction(1)
+    q = math.lcm(*(d.denominator for d in point))
+    row = [math.comb(k, j) for j in range(k + 1)]
+    # columns[i][j] = [x^j] F_i for j = 0..k, zero at j = 0
+    columns = []
+    for i, d in enumerate(point):
+        base = d.numerator * (q // d.denominator)
+        power, column = (base if i else 1), [0]
+        for j in range(1, k + 1):
+            column.append(row[j] * power)
+            power *= base
+        columns.append(column)
+    target = p * k + 1
+    # partial[n] = [x^n] F_0 ... F_(m-1) for lo <= n <= hi, zero below lo;
+    # each sum pairs an ascending slice of partial with one of the column
+    # reversed, [x^(n-t)] F_m at index k - n + t
+    partial, lo, hi = columns[0], 1, k
+    for m in range(1, p + 1):
+        rest = p - m
+        new_lo, new_hi = max(lo + 1, target - rest * k), min(hi + k, target - rest)
+        reversed_column = columns[m][::-1]
+        grown = [0] * new_lo
+        for n in range(new_lo, new_hi + 1):
+            first, last = max(lo, n - k), min(hi, n - 1)
+            grown.append(sum(map(operator.mul, partial[first:last + 1],
+                                 reversed_column[k - n + first:k - n + last + 1])))
+        partial, lo, hi = grown, new_lo, new_hi
+    return Fraction(_exact_div(partial[target], k), q ** (p * k))

@@ -18,18 +18,21 @@ the leading ratio pinned to 1.  Four independent routes are exposed:
   to integers and A = prod_i (lambda + d_i) is expanded once per table,
   then Miller's power recurrence gives each order k in O(p k) integer
   products, so a table through order K costs O(p K^2);
-* :func:`moments_by_closed_form`, the closed-form polynomials evaluated
-  at the shapes;
+* :func:`moments_by_closed_form`, the closed form summed at the point
+  (1, t_1, ..., t_p) by :func:`~fussnarayana.exact.limit_moment_value`,
+  without building the polynomials;
 * :func:`quadrature_moments`, numerical quadrature against the density
   itself (one factor only).
 
 :func:`freeprob_suite`, ``verify --suite freeprob``, compares the routes
-on ``FREEPROB_FIXTURES``.  :func:`s_transform_check` tests a moment table
-it is given, there the series route's, against the product of
-S-transforms.  Like the series solve, it runs on integers: with q the
-lcm of the shapes' denominators, G_k = q^(pk+1) m_k is an integer for
-the true moments, and the identity's residual R, scaled by q^(pK+1),
-comes out in integer arithmetic.
+on ``FREEPROB_FIXTURES``: the series and the point values at every order,
+and the point values with the polynomials ``fuss_narayana_poly(p, k)``
+evaluated at the shapes at orders k <= 6.  :func:`s_transform_check`
+tests a moment table it is given, there the series route's, against the
+product of S-transforms.  Like the series solve, it runs on integers:
+with q the lcm of the shapes' denominators, G_k = q^(pk+1) m_k is an
+integer for the true moments, and the identity's residual R, scaled by
+q^(pK+1), comes out in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Sequence
 
 from scipy.integrate import quad
 
-from .exact import fuss_narayana_poly
+from .exact import fuss_narayana_poly, limit_moment_value
 from .report import Report
 from .series import _exact_quotient, _integer_dims, solve_functional_equation, truncated_mul
 
@@ -185,9 +188,13 @@ def _lagrange_integer(a: Sequence[int], n: int) -> int:
 
 
 def moments_by_closed_form(shapes: Sequence, order: int) -> MomentTable:
-    """Moments by direct evaluation of the closed-form moment polynomials."""
+    """Moments by the closed form summed at the point (1, t_1, ..., t_p).
+
+    Each order is :func:`~fussnarayana.exact.limit_moment_value`, which
+    sums P_k at the point without building the polynomial.
+    """
     ts = _as_shapes(shapes, order)
-    values = tuple(fuss_narayana_poly(len(ts), k).evaluate(ts) for k in range(1, order + 1))
+    values = tuple(limit_moment_value((1, *ts), k) for k in range(1, order + 1))
     return MomentTable(shapes=ts, values=values)
 
 
@@ -300,18 +307,29 @@ FREEPROB_FIXTURES = (
 
 
 def freeprob_suite(budget: int, k_max: int | None = None) -> list[Report]:
-    """``verify --suite freeprob``: every route on the fixtures; no route reads ``budget``."""
+    """``verify --suite freeprob``: every route on the fixtures; no route reads ``budget``.
+
+    Each fixture makes one tally of three tables: the series route and
+    the closed form summed at the point agree at every order through
+    ``k_max``, and the point values equal ``fuss_narayana_poly(p, k)``
+    evaluated at the shapes at the orders the S-transform check reads,
+    k <= min(k_max, 6).  The polynomial is what the ``oracle`` suite
+    certifies, so it is the reference for the point loop.
+    """
     k_max = 6 if k_max is None else k_max
     if k_max < 2:
         raise ValueError(f"verify --suite freeprob needs --k-max >= 2, got {k_max}")
     report = Report(name=f"free convolution k<={k_max}")
     closed = {}
+    low = min(k_max, 6)
     for shapes in FREEPROB_FIXTURES:
         by_series = moments_by_series(shapes, k_max)
         by_closed = closed[shapes] = moments_by_closed_form(shapes, k_max)
-        report.tally(by_series.values == by_closed.values,
-                     f"shapes {shapes}: series and closed-form moments disagree")
-        inner = s_transform_check(MomentTable(by_series.shapes, by_series.values[:6]))
+        by_poly = tuple(fuss_narayana_poly(len(shapes), k).evaluate(shapes) for k in range(1, low + 1))
+        report.tally(by_series.values == by_closed.values and by_closed.values[:low] == by_poly,
+                     f"shapes {shapes}: series, closed form at the point and "
+                     f"closed-form polynomial moments disagree")
+        inner = s_transform_check(MomentTable(by_series.shapes, by_series.values[:low]))
         report.checks += inner.checks
         report.mismatches += [f"shapes {shapes}: {m}" for m in inner.mismatches]
     # the one-factor fixtures' tables, reused for the quadrature orders

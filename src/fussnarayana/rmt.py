@@ -59,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import limit_moment_poly
+from . import exact
 
 _ENSEMBLES = ("complex", "real")
 
@@ -403,7 +403,7 @@ def run_experiment(config: McConfig) -> McResult:
     ses = per_trial.std(axis=0, ddof=1) / math.sqrt(config.trials)
     stats = []
     for k in range(1, config.k_max + 1):
-        target = float(limit_moment_poly(profile.p, k).evaluate(profile.d))
+        target = float(exact.limit_moment_value(profile.d, k))
         mean = float(means[k - 1])
         se = float(ses[k - 1])
         if se > 0:

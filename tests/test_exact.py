@@ -7,23 +7,30 @@ polynomials entered by hand from the worked examples of the source
 material.
 """
 
+import contextlib
+import io
 import itertools
+import math
+import random
 import re
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fussnarayana import exact
+from fussnarayana import cli, exact
 from fussnarayana.exact import (
     binomial,
     fuss_catalan,
     fuss_narayana_number,
     fuss_narayana_poly,
     limit_moment_poly,
+    limit_moment_value,
     vandermonde_decomposition,
 )
+from fussnarayana.freeprob import FREEPROB_FIXTURES
 from fussnarayana.poly import MultiPoly
 
 
@@ -269,3 +276,75 @@ def test_moment_poly_at_unit_ratios_is_fuss_catalan():
         for k in range(1, 5):
             value = limit_moment_poly(p, k).evaluate((Fraction(1),) * (p + 1))
             assert value == fuss_catalan(p, k)
+
+
+def _random_point(rng: random.Random, p: int, kind: str) -> list:
+    """p+1 coordinates of one kind, with zeros and negatives among them."""
+    draw = {
+        "int": lambda: rng.randint(-6, 6),
+        "fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        "float": lambda: rng.uniform(-3.0, 3.0) if rng.random() < 0.8 else 0.0,
+    }[kind]
+    return [draw() for _ in range(p + 1)]
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_limit_moment_value_is_the_polynomial_at_the_point(p):
+    rng = random.Random(20261020 + p)
+    for k in range(11):
+        poly = limit_moment_poly(p, k)
+        for kind in ("int", "fraction", "float"):
+            point = _random_point(rng, p, kind)
+            at_zero = [point[0] * 0] + point[1:]
+            for dims in (point, at_zero):
+                value = limit_moment_value(dims, k)
+                assert type(value) is Fraction
+                assert value == poly.evaluate(dims), (k, dims)
+
+
+def test_limit_moment_value_at_unit_ratios_is_fuss_catalan():
+    for p in (1, 2, 3, 8):
+        for k in (1, 2, 5, 40):
+            assert limit_moment_value((1,) * (p + 1), k) == fuss_catalan(p, k)
+
+
+@pytest.mark.parametrize("dims, k, message", [
+    ((2,), 3, "requires p+1 >= 2 dims"),
+    ((), 3, "requires p+1 >= 2 dims"),
+    ((1, 2), -1, "k >= 0"),
+    ((1, 2), 2.5, "requires an integer k"),
+    ((1, 2), 2.0, "requires an integer k"),
+    ((1, 2), Fraction(2), "requires an integer k"),
+    ((1, float("inf")), 2, "requires finite coordinates"),
+    ((float("-inf"), 1), 2, "requires finite coordinates"),
+    ((1, float("nan")), 2, "requires finite coordinates"),
+], ids=repr)
+def test_limit_moment_value_rejects_bad_arguments(dims, k, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        limit_moment_value(dims, k)
+
+
+def test_verify_freeprob_catches_an_off_by_one_binomial_in_the_point_loop(monkeypatch):
+    # C(k, j - 1) for C(k, j) keeps every product of binomials divisible by a
+    # prime k, so at k = 7 the division check passes the wrong sum, and past
+    # the polynomial's orders (k <= 6) only the series table can catch it
+    def off_by_one(n, j):
+        return math.comb(n, j - 1) if n == 7 and j else math.comb(n, j)
+
+    points = [(1,) + shapes for shapes in FREEPROB_FIXTURES]
+    honest = [limit_moment_value(point, 7) for point in points]
+    monkeypatch.setattr(exact, "math", types.SimpleNamespace(**{**vars(math), "comb": off_by_one}))
+    planted = [limit_moment_value(point, 7) for point in points]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "--suite", "freeprob", "--k-max", "8"]) == 1
+    text = out.getvalue()
+    assert '"ok": false' in text
+    # at p = 1 the shifted pair C(k, j0 - 1) C(k, j1 - 1), j0 + j1 = k + 1, is
+    # the Narayana pair C(k, j1) C(k, j1 - 1) again; every fixture with p >= 2
+    # moves and is reported
+    moved = [before != after for before, after in zip(honest, planted)]
+    assert moved == [len(shapes) >= 2 for shapes in FREEPROB_FIXTURES]
+    for shapes, wrong in zip(FREEPROB_FIXTURES, moved):
+        reported = f"shapes {shapes}: series, closed form at the point and closed-form polynomial" in text
+        assert reported == wrong, shapes

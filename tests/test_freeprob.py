@@ -145,10 +145,12 @@ def test_series_and_closed_form_agree_with_unequal_denominators(shapes, order):
         ((Fraction(11, 7), Fraction(8, 7), Fraction(13, 7), Fraction(9, 7)), 100),
     ],
 )
-def test_lagrange_and_series_agree_past_the_closed_form_reach(shapes, order):
-    # the closed form takes seconds here, Lagrange and series a fraction of a
-    # second; the last two inputs run the power recurrence on thousand-digit ints
-    assert moments_by_lagrange(shapes, order).values == moments_by_series(shapes, order).values
+def test_closed_form_lagrange_and_series_agree_at_high_orders(shapes, order):
+    # the closed form sums each order at the point, without building P_k; the
+    # last two inputs run the power recurrence on thousand-digit ints
+    by_series = moments_by_series(shapes, order).values
+    assert moments_by_lagrange(shapes, order).values == by_series
+    assert moments_by_closed_form(shapes, order).values == by_series
 
 
 @pytest.mark.parametrize("p, k", [(1, 9), (2, 7), (3, 5), (4, 4)])
@@ -309,6 +311,22 @@ def test_freeprob_sweep_solves_each_fixture_once(monkeypatch, capsys):
     assert cli.main(["verify", "--suite", "freeprob", "--k-max", "12"]) == 0
     assert '"ok": true' in capsys.readouterr().out
     assert len(calls) == len(FREEPROB_FIXTURES) == 7
+
+
+def test_freeprob_sweep_compares_the_point_values_with_the_polynomial(monkeypatch, capsys):
+    # a wrong polynomial at k = 3 leaves the series and the point values equal,
+    # so only the third table of each fixture's tally can see it
+    honest = freeprob.fuss_narayana_poly
+
+    def raised(p, k):
+        poly = honest(p, k)
+        return poly + MultiPoly.constant(p, 1) if k == 3 else poly
+
+    monkeypatch.setattr(freeprob, "fuss_narayana_poly", raised)
+    assert cli.main(["verify", "--suite", "freeprob", "--k-max", "4"]) == 1
+    out = capsys.readouterr().out
+    for shapes in FREEPROB_FIXTURES:
+        assert f"shapes {shapes}: series, closed form at the point and closed-form polynomial" in out
 
 
 @pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(1), Fraction(2)])
