@@ -276,6 +276,30 @@ def test_verify_oracle_catches_elementary_polynomials_of_too_few_dims(capsys, mo
     }
 
 
+@pytest.mark.parametrize("fault", ["e_p without a term", "e_(p+1) without its shift"])
+def test_verify_oracle_catches_a_decode_fault(capsys, monkeypatch, fault):
+    # the symbolic solve runs on e_1..e_(p+1), and reading an order substitutes
+    # the elementary polynomials of the d_i; a wrong substitute must show at every p
+    honest = series._elementary
+
+    def planted(ds, *ring):
+        e = honest(ds, *ring)
+        if fault == "e_p without a term":
+            e[-2] = dict(list(e[-2].items())[1:])
+        else:
+            e[-1] = {0: 1}
+        return e
+
+    monkeypatch.setattr(series, "_elementary", planted)
+    mismatches = oracle_mismatches(capsys, "16")
+    first = 2 if fault == "e_p without a term" else 1  # g_1 = e_(p+1) holds no e_p
+    solver = "closed form and series solver disagree"
+    assert mismatches == {
+        f"three-route agreement p={p} k<={k_max}": [f"k={k}: {solver}" for k in range(first, k_max + 1)]
+        for p, k_max in [(1, 8), (2, 4), (3, 2)]
+    }
+
+
 def test_verify_oracle_solves_each_series_once(capsys, monkeypatch):
     calls = []
     honest = series.solve_functional_equation

@@ -69,17 +69,29 @@ def test_square_coefficient_is_the_series_square(a, start):
 def test_orders_unpack_each_order_once_when_it_is_read(unpacked):
     d0, d1, d2 = (MultiPoly.variable(NUM_VARS, s) for s in range(NUM_VARS))
     eager = [MultiPoly(NUM_VARS), d0, d1 * d2 + 3 * d0 * d0, -d2]
-    orders = _packed.Orders(NUM_VARS, RADIX, [pack(poly) for poly in eager])
-    assert len(orders) == 4 and not unpacked
-    assert orders[-1] == -d2 and orders[2] == eager[2]
-    assert unpacked == [-d2, eager[2]]
-    # a second read returns the kept object and unpacks nothing
-    assert orders[2] is unpacked[1] and orders[-1] is unpacked[0]
-    assert orders[1:3] == eager[1:3] and orders[::-2] == eager[::-2]
-    assert len(unpacked) == 3  # only order 1 was still packed
-    assert list(orders) == eager and len(unpacked) == 4
-    with pytest.raises(IndexError):
-        orders[4]
+    # a route's decode runs on an order's stored dict once, before it is
+    # unpacked: the second copy stores each key shifted by d0's unit
+    shifted = [{key + 1: c for key, c in pack(poly).items()} for poly in eager]
+    decoded = []
+
+    def decode(terms):
+        decoded.append(terms)
+        return {key - 1: c for key, c in terms.items()}
+
+    for orders in (_packed.Orders(NUM_VARS, RADIX, [pack(poly) for poly in eager]),
+                   _packed.Orders(NUM_VARS, RADIX, list(shifted), decode)):
+        unpacked.clear()
+        assert len(orders) == 4 and not unpacked
+        assert orders[-1] == -d2 and orders[2] == eager[2]
+        assert unpacked == [-d2, eager[2]]
+        # a second read returns the kept object and unpacks nothing
+        assert orders[2] is unpacked[1] and orders[-1] is unpacked[0]
+        assert orders[1:3] == eager[1:3] and orders[::-2] == eager[::-2]
+        assert len(unpacked) == 3  # only order 1 was still packed
+        assert list(orders) == eager and len(unpacked) == 4
+        with pytest.raises(IndexError):
+            orders[4]
+    assert decoded == [shifted[3], shifted[2], shifted[1], shifted[0]]
 
 
 def test_orders_equal_the_eager_list_from_either_side():

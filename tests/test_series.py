@@ -1,5 +1,6 @@
 """Tests for the truncated-series kernel, the functional-equation solver, and Lagrange inversion."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,37 @@ def test_solver_rejects_bad_arguments():
         solve_functional_equation(1, -1)
     with pytest.raises(ValueError):
         solve_functional_equation(2, 3, dims=(1, 2))
+
+
+@pytest.mark.parametrize("function", [solve_functional_equation, lagrange_coefficient],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("args", [(1.0, 3), (1, 3.0), (2, 2.5), ("1", 3), (1, None)], ids=repr)
+def test_integer_arguments_are_read_strictly(function, args):
+    # a ValueError naming the argument, not a TypeError from range or a comparison
+    position = 0 if type(args[0]) is not int else 1
+    name = ("p", "order" if function is solve_functional_equation else "n")[position]
+    message = f"{function.__name__} requires an integer {name}, got {name}={args[position]!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(*args)
+
+
+def test_integer_arguments_take_integer_like_values():
+    numpy = pytest.importorskip("numpy")
+    assert solve_functional_equation(numpy.int64(2), numpy.int32(3)) == solve_functional_equation(2, 3)
+    assert lagrange_coefficient(True, numpy.int64(4)) == lagrange_coefficient(1, 4)
+
+
+def test_symbolic_solve_stores_terms_in_the_elementary_polynomials():
+    # g_20 at p = 3 is 94 terms in e_1..e_4 and 1540 in d_0..d_3
+    g = solve_functional_equation(3, 20)
+    assert len(g._orders[20]) == 94
+    assert len(g[20].terms) == 1540
+
+
+@pytest.mark.parametrize("p,order", [(1, 60), (2, 30), (3, 20), (4, 14), (5, 10)])
+def test_symbolic_solve_is_the_moment_polynomial_past_the_benchmark_orders(p, order):
+    g = solve_functional_equation(p, order)
+    assert g[order] == limit_moment_poly(p, order) * MultiPoly.variable(p + 1, 0)
 
 
 @pytest.mark.parametrize("p,order", [(1, 6), (2, 5), (3, 4)])
