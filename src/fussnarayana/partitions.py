@@ -47,12 +47,15 @@ coefficient in ``.terms``.  ``count_adapted`` runs it on Python ints
 and returns the number of matchings alone, with no histogram.
 ``enumerate_adapted`` and ``leg_profile`` list and profile them one by
 one, and ``listed_histograms`` collects those brute histograms for
-every shift and order into one table of profile polynomials.  Both
-lemma sweeps take that table, because the identities they check are the
-recurrence the counter relies on, so ``lemma_suite`` lists each word once
-for both; ``oracle_suite`` checks the counter against the closed form
-and the series solve.  Both ways refuse words longer than the budget
-(``BudgetError``).
+every shift and order into one table of profile polynomials.  The walk
+reads a word only through its mate-distance table, which has period p,
+so the shift-p word walks the same matchings as shift 0: each walk is
+listed once for every word that shares its table, and an order costs p
+walks, not p + 1.  Both lemma sweeps take that table, because the
+identities they check are the recurrence the counter relies on, so
+``lemma_suite`` lists it once for both; ``oracle_suite`` checks the
+counter against the closed form and the series solve.  Both ways refuse
+words longer than the budget (``BudgetError``).
 
 Cover rotation.  ``rotate_cover`` turns the 2pk positions one step left
 around a circle, so a block {1, m} becomes {m-1, 2pk} and every other
@@ -460,24 +463,34 @@ def listed_histograms(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> list[
     ``hists[shift][k]`` has one monomial d0^j0 ... dp^jp per adapted
     matching of the order-k word at that shift, j its leg profile; the
     table is built from ``enumerate_adapted`` and the ``leg_profile``
-    rule alone.  Each word's letter codes and right-leg slots are derived
-    once, and every block of every listed matching is checked adapted.
-    The lemma sweeps check the first-block recurrence that
-    ``profile_histogram`` counts by, so they read this table instead.
-    ``enumerate_adapted`` raises ``BudgetError`` at the first order over
-    the budget.
+    rule alone.  The walk depends on a word only through its mate-distance
+    table, which has period p, so the shift-p word walks the same matchings
+    as shift 0.  The shifts are grouped by that table, and each walk is
+    listed once for every word of its group: an order costs p walks, not
+    p + 1.  Each word's letter codes and right-leg slots are derived once,
+    and every block of every listed matching is checked adapted to each
+    word it is profiled for.  The lemma sweeps check the first-block
+    recurrence that ``profile_histogram`` counts by, so they read this
+    table instead.  Every order is checked against the budget before the
+    first walk, and the first one over it raises ``BudgetError``.
     """
-    hists = []
-    for shift in range(p + 1):
-        row = [MultiPoly.constant(p + 1, 1)]
+    for k in range(1, k_max + 1):
+        _check_budget(p, k, budget)
+    width = p + 1
+    hists = [[MultiPoly.constant(width, 1)] for _ in range(width)]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for shift in range(width):
+        groups.setdefault(_period(p, shift)[0], []).append(shift)
+    for shifts in groups.values():
         for k in range(1, k_max + 1):
-            spec = WordSpec(p, shift, k)
-            word = build_word(spec)
-            codes, slots = _leg_codes(word)
-            row.append(MultiPoly(p + 1, Counter(
-                _profile(pi, word, codes, slots, p + 1) for pi in enumerate_adapted(spec, budget)
-            )))
-        hists.append(row)
+            words = [build_word(WordSpec(p, shift, k)) for shift in shifts]
+            legs = [(word, *_leg_codes(word)) for word in words]
+            rows = [Counter() for _ in shifts]
+            for pi in enumerate_adapted(WordSpec(p, shifts[0], k), budget):
+                for row, (word, codes, slots) in zip(rows, legs):
+                    row[_profile(pi, word, codes, slots, width)] += 1
+            for shift, row in zip(shifts, rows):
+                hists[shift].append(MultiPoly(width, row))
     return hists
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fussnarayana import partitions
+from fussnarayana import cli, partitions
 from fussnarayana.exact import fuss_catalan, fuss_narayana_number, limit_moment_poly
 from fussnarayana.poly import MultiPoly
 from fussnarayana.partitions import (
@@ -20,6 +20,7 @@ from fussnarayana.partitions import (
     count_adapted,
     enumerate_adapted,
     leg_profile,
+    lemma_suite,
     listed_histograms,
     noncrossing_matchings,
     profile_histogram,
@@ -515,16 +516,19 @@ def test_verify_product_decomposition_clean():
 
 
 def test_listed_histograms_are_the_brute_profile_polynomials():
-    hists = listed_histograms(2, 2)
-    assert [len(row) for row in hists] == [3, 3, 3]
-    for shift, row in enumerate(hists):
-        assert row[0] == MultiPoly.constant(3, 1)
-        for k in (1, 2):
-            spec = WordSpec(2, shift, k)
-            word = build_word(spec)
-            brute = Counter(leg_profile(pi, word) for pi in enumerate_adapted(spec))
-            assert row[k] == MultiPoly(3, brute), (shift, k)
-    assert hists[0][2] == limit_moment_poly(2, 2)
+    # every p <= 8 at 2pk <= 16: from p = 2 on, shifts 0 and p share one walk
+    for p in range(1, 9):
+        k_max = 8 // p
+        hists = listed_histograms(p, k_max, 16)
+        assert [len(row) for row in hists] == [k_max + 1] * (p + 1)
+        for shift, row in enumerate(hists):
+            assert row[0] == MultiPoly.constant(p + 1, 1)
+            for k in range(1, k_max + 1):
+                spec = WordSpec(p, shift, k)
+                word = build_word(spec)
+                brute = Counter(leg_profile(pi, word) for pi in enumerate_adapted(spec))
+                assert row[k] == MultiPoly(p + 1, brute), (p, shift, k)
+        assert hists[0][k_max] == limit_moment_poly(p, k_max)
 
 
 def test_listed_histograms_reject_a_matching_that_is_not_adapted(monkeypatch):
@@ -535,6 +539,59 @@ def test_listed_histograms_reject_a_matching_that_is_not_adapted(monkeypatch):
     monkeypatch.setattr(partitions, "enumerate_adapted", planted)
     with pytest.raises(ValueError, match=r"^block \(1,2\) joins 1 with 2; not adapted$"):
         listed_histograms(2, 1)
+
+
+@pytest.mark.parametrize("p,k_max", [(1, 4), (2, 2), (3, 2)])
+def test_lemma_sweeps_walk_each_mate_distance_table_once_per_order(monkeypatch, p, k_max):
+    # the shift-p word has shift 0's mate distances, so of the p + 1 words of
+    # an order only p need a walk of their own
+    walks = []
+    honest = partitions._walk
+
+    def counted(size, first):
+        walks.append((size, tuple(first)))
+        return honest(size, first)
+
+    monkeypatch.setattr(partitions, "_walk", counted)
+    reports = lemma_suite(16, p, k_max)
+    assert all(report.ok for report in reports)
+    assert len(walks) == p * k_max
+    assert len(set(walks)) == len(walks)
+
+
+@pytest.mark.parametrize("p,k_max", [(2, 4), (3, 3)])
+def test_verify_lemmas_catches_a_mate_distance_fault_at_shift_p(capsys, monkeypatch, p, k_max):
+    # the shifts are grouped by their tables, so a wrong table at shift p
+    # walks on its own, and its own word rejects what it lists; at p = 1 the
+    # table (1, 1) turned by one is itself, so there is no fault to plant
+    honest = partitions._period
+
+    def planted(q, shift):
+        first, slots = honest(q, shift)
+        return (first[1:] + first[:1], slots) if shift == q else (first, slots)
+
+    assert planted(p, p)[0] != honest(p, 0)[0]
+    monkeypatch.setattr(partitions, "_period", planted)
+    monkeypatch.setenv("FN_BUDGET", "20")
+    code = cli.main(["verify", "--suite", "lemmas", "-p", str(p), "--k-max", str(k_max)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "not adapted" in captured.err
+
+
+def test_listing_checks_every_order_against_the_budget_before_the_first_walk(monkeypatch):
+    def unavailable(size, first):
+        raise AssertionError("a walk ran before the budget was checked")
+
+    monkeypatch.setattr(partitions, "_walk", unavailable)
+    # the message names the first order over the budget, as the walk would
+    with pytest.raises(BudgetError, match=r"2\*p\*k = 26 exceeds the enumeration budget 24"):
+        listed_histograms(1, 13, budget=24)
+    with pytest.raises(BudgetError, match=r"2\*p\*k = 20 exceeds the enumeration budget 16"):
+        listed_histograms(2, 7, budget=16)
+    # no order to list: the constant rows, whatever the budget
+    assert listed_histograms(2, 0, budget=0) == [[MultiPoly.constant(3, 1)]] * 3
 
 
 @pytest.mark.parametrize("shift,order,first_failure", [(0, 1, 1), (0, 2, 2), (1, 1, 2), (2, 1, 2)])
