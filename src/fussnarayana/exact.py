@@ -102,7 +102,7 @@ def fuss_narayana_number(k: int, index: Sequence[int]) -> int:
     if not js:
         raise ValueError("index vector must be nonempty")
     p = len(js) - 1
-    if sum(js) != p * k + 1 or any(j < 1 or j > k for j in js):
+    if sum(js) != p * k + 1 or min(js) < 1 or max(js) > k:
         return 0
     product = 1
     for j in js:

@@ -20,7 +20,8 @@ matchings adapted to a word lazily, in canonical order: lexicographic in
 the match array.  A position's admissible partners are the copies of
 its mate, at an odd distance m read off one period and every 2p after.
 The walk gives the first free position each in turn, inside the new
-block before outside it, without a partner table.
+block before outside it, without a partner table: each frame keeps a
+cursor on the last partner it tried and steps it 2p at a time.
 ``noncrossing_matchings`` is the same walk on the p = 1 word
 1 1* 1 1* ..., where every odd distance is admissible.  Every listed
 matching is a validated ``PairPartition``.
@@ -70,7 +71,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
 from . import _packed, exact, series
@@ -148,8 +149,13 @@ class PairPartition:
     Stored as an involution array: ``match[i]`` is the partner of
     position i.  Construction validates that the entries are integers
     (``operator.index``), that the array is a fixed-point free involution
-    and that no two blocks cross; the involution is checked over the
-    whole array before a crossing is reported.
+    and that no two blocks cross.  One stack pass accepts exactly those
+    arrays: an opener (``match[i] > i``) is pushed, a closer must pop its
+    own partner, which must point back at it, and the stack must end
+    empty.  Only an array that pass rejects is checked again, element by
+    element, to name its error, so the messages and their precedence are
+    those of a full check: the involution is checked over the whole array
+    before a crossing is reported.
     """
 
     __slots__ = ("match",)
@@ -162,9 +168,20 @@ class PairPartition:
         n = len(match)
         if n % 2:
             raise ValueError("a pair matching needs an even number of positions")
+        stack: list[int] = []
+        for i, j in enumerate(match):
+            if j > i:
+                stack.append(i)
+            elif not stack or stack.pop() != j or match[j] != i:
+                break
+        else:
+            if not stack:
+                self.match = match
+                return
+        # Rejected: find the error the full check reports first.
         # noncrossing <=> the word of openers/closers is balanced like parentheses;
         # up to the first crossing every closer's partner is an opener on the stack
-        stack: list[int] = []
+        stack = []
         crossed = None
         for i, j in enumerate(match):
             if not 0 <= j < n or j == i or match[j] != i:
@@ -251,15 +268,19 @@ def _walk(size: int, first: Sequence[int]) -> Iterator[PairPartition]:
     if not size:
         yield PairPartition(match)
         return
-    # A frame is a region [lo, hi), the regions still to fill after it
-    # (a linked list of (lo, hi, rest)), and lo's partners not yet tried.
-    frames = [(0, size, None, iter(range(first[0], size, period)))]
+    # A frame is a mutable [lo, hi, rest, last]: a region [lo, hi), the
+    # regions still to fill after it (a linked list of (lo, hi, rest)), and
+    # the last partner of lo tried, a cursor that steps P at a time; a new
+    # frame's cursor sits one period before lo's first partner.
+    frames = [[0, size, None, first[0] - period]]
     while frames:
-        lo, hi, rest, untried = frames[-1]
-        mid = next(untried, hi)
-        if mid == hi:
+        frame = frames[-1]
+        lo, hi, rest, mid = frame
+        mid += period
+        if mid >= hi:
             frames.pop()
             continue
+        frame[3] = mid
         match[lo] = mid
         match[mid] = lo
         if lo + 1 < mid:  # fill the new block's inside, then what is right of it
@@ -273,7 +294,7 @@ def _walk(size: int, first: Sequence[int]) -> Iterator[PairPartition]:
         else:  # every position is matched
             yield PairPartition(match)
             continue
-        frames.append((lo, hi, rest, iter(range(lo + first[lo % period], hi, period))))
+        frames.append([lo, hi, rest, lo + first[lo % period] - period])
 
 
 def noncrossing_matchings(size: int) -> Iterator[PairPartition]:
@@ -467,13 +488,17 @@ def listed_histograms(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> list[
     table, which has period p, so the shift-p word walks the same matchings
     as shift 0.  The shifts are grouped by that table, and each walk is
     listed once for every word of its group: an order costs p walks, not
-    p + 1.  Each word's letter codes and right-leg slots are derived once,
-    and every block of every listed matching is checked adapted to each
-    word it is profiled for.  The lemma sweeps check the first-block
-    recurrence that ``profile_histogram`` counts by, so they read this
-    table instead.  Every order is checked against the budget before the
-    first walk, and the first one over it raises ``BudgetError``.
+    p + 1.  Each shift's base word, letter codes and right-leg slots are
+    derived once, for one period, and tiled k times for order k; every
+    block of every listed matching is checked adapted to each word it is
+    profiled for.  The lemma sweeps check the first-block recurrence that
+    ``profile_histogram`` counts by, so they read this table instead.
+    p < 1 or k_max < 0 raises ``ValueError`` before any work.  Every order
+    is checked against the budget before the first walk, and the first one
+    over it raises ``BudgetError``.
     """
+    if p < 1 or k_max < 0:
+        raise ValueError(f"listed_histograms needs p >= 1 and k_max >= 0, got p={p}, k_max={k_max}")
     for k in range(1, k_max + 1):
         _check_budget(p, k, budget)
     width = p + 1
@@ -482,15 +507,19 @@ def listed_histograms(p: int, k_max: int, budget: int = DEFAULT_BUDGET) -> list[
     for shift in range(width):
         groups.setdefault(_period(p, shift)[0], []).append(shift)
     for shifts in groups.values():
+        # one period of each word, tiled k times below: build_word is base_word * k
+        words = [base_word(p, shift) for shift in shifts]
+        periods = [(word, *_leg_codes(word)) for word in words]
         for k in range(1, k_max + 1):
-            words = [build_word(WordSpec(p, shift, k)) for shift in shifts]
-            legs = [(word, *_leg_codes(word)) for word in words]
-            rows = [Counter() for _ in shifts]
+            legs = [(word * k, codes * k, slots * k) for word, codes, slots in periods]
+            rows = [{} for _ in shifts]
             for pi in enumerate_adapted(WordSpec(p, shifts[0], k), budget):
                 for row, (word, codes, slots) in zip(rows, legs):
-                    row[_profile(pi, word, codes, slots, width)] += 1
+                    profile = _profile(pi, word, codes, slots, width)
+                    row[profile] = row.get(profile, 0) + 1
             for shift, row in zip(shifts, rows):
-                hists[shift].append(MultiPoly(width, row))
+                # _profile's keys are int tuples, so the terms need no cleaning
+                hists[shift].append(MultiPoly._from_terms(width, row))
     return hists
 
 
@@ -557,7 +586,7 @@ def verify_product_decomposition(hists: Sequence[Sequence[MultiPoly]]) -> Report
     p, k_max = _table_shape(hists)
     report = Report(name=f"product-decomposition p={p} k<={k_max}")
     num_vars = p + 1
-    zero, one = MultiPoly(num_vars), MultiPoly.constant(num_vars, 1)
+    zero = MultiPoly(num_vars)
     d_product = MultiPoly(num_vars, {(0,) + (1,) * p: 1})
     product = hists[0]
     for s in hists[1:]:
@@ -573,14 +602,16 @@ def verify_product_decomposition(hists: Sequence[Sequence[MultiPoly]]) -> Report
     for k in range(1, k_max + 1):
         convolution = zero
         # its own loop over order tuples, apart from the closed form's
-        # compositions, so a fault there cannot reach this check
-        for orders in itertools.product(range(k), repeat=num_vars):
-            if sum(orders) != k - 1:
+        # compositions, so a fault there cannot reach this check: the orders
+        # of shifts 0..p-1 are free, and shift p takes what is left of k - 1
+        for orders in itertools.product(range(k), repeat=p):
+            last = k - 1 - sum(orders)
+            if last < 0:
                 continue
-            term = one
-            for shift, k_i in enumerate(orders):
-                term = term * hists[shift][k_i]
-            convolution = convolution + term
+            term = hists[0][orders[0]]
+            for shift in range(1, p):
+                term = term * hists[shift][orders[shift]]
+            convolution = convolution + term * hists[p][last]
         base, total = hists[0][k].terms, (d_product * convolution).terms
         for j in sorted(base.keys() | total.keys()):
             report.tally(

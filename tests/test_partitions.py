@@ -152,6 +152,69 @@ def test_pair_partition_validation():
     assert empty.size == 0 and empty.blocks() == ()
 
 
+def element_by_element_error(match):
+    """The message of the element-by-element check ``PairPartition`` names its errors with, or None.
+
+    A copy of that check, kept here as the reference for the test below,
+    which pins both the verdicts and the messages of the constructor's
+    one-pass accept and the check behind it.
+    """
+    n = len(match)
+    if n % 2:
+        return "a pair matching needs an even number of positions"
+    stack = []
+    crossed = None
+    for i, j in enumerate(match):
+        if not 0 <= j < n or j == i or match[j] != i:
+            return f"match array is not a fixed-point free involution at {i}"
+        if j > i:
+            stack.append(i)
+        elif crossed is None and stack.pop() != j:
+            crossed = i
+    if crossed is not None:
+        return f"blocks cross near position {crossed}"
+    return None
+
+
+def is_noncrossing_pair_matching(match):
+    """The definition: a fixed-point free involution of 0..n-1 with no blocks a < c < b < d."""
+    n = len(match)
+    if not all(0 <= j < n and j != i and match[j] == i for i, j in enumerate(match)):
+        return False
+    blocks = [(i, j) for i, j in enumerate(match) if i < j]
+    return not any(a < c < b < d for a, b in blocks for c, d in blocks)
+
+
+def every_perfect_matching_array(n):
+    """Match arrays of every perfect matching of 0..n-1, crossing or not."""
+    for blocks in perfect_matchings(tuple(range(n))):
+        match = [None] * n
+        for a, b in blocks:
+            match[a], match[b] = b, a
+        yield tuple(match)
+
+
+def test_pair_partition_accepts_exactly_the_noncrossing_pair_matchings():
+    # every array of length <= 4 with entries in -1..n, and every perfect
+    # matching of up to 10 points: accepted exactly when the definition
+    # holds, and a rejected one raises what the element-by-element check says
+    arrays = [match for n in range(5) for match in itertools.product(range(-1, n + 1), repeat=n)]
+    arrays += [match for n in range(0, 11, 2) for match in every_perfect_matching_array(n)]
+    accepted = 0
+    for match in arrays:
+        expected = element_by_element_error(match)
+        assert (expected is None) == is_noncrossing_pair_matching(match), match
+        if expected is None:
+            assert PairPartition(match).match == match
+            accepted += 1
+        else:
+            with pytest.raises(ValueError) as error:
+                PairPartition(match)
+            assert str(error.value) == expected, match
+    # noncrossing ones: 1 + 1 + 2 among the short arrays, Catalan(0..5) among the matchings
+    assert accepted == 4 + sum((1, 1, 2, 5, 14, 42))
+
+
 @pytest.mark.parametrize("build", [
     lambda: PairPartition((1.5, 0.5)),
     lambda: PairPartition((1.0, 0.0)),
@@ -215,17 +278,10 @@ def perfect_matchings(positions):
 
 def reference_listing(size, admissible):
     """Match tuples of the noncrossing perfect matchings whose blocks are admissible, sorted."""
-    listed = []
-    for blocks in perfect_matchings(tuple(range(size))):
-        if not all(admissible(a, b) for a, b in blocks):
-            continue
-        if any(a < c < b < d for a, b in blocks for c, d in blocks):
-            continue
-        match = [None] * size
-        for a, b in blocks:
-            match[a], match[b] = b, a
-        listed.append(tuple(match))
-    return sorted(listed)
+    return sorted(
+        match for match in every_perfect_matching_array(size)
+        if is_noncrossing_pair_matching(match) and all(admissible(a, b) for a, b in enumerate(match) if a < b)
+    )
 
 
 def test_enumeration_is_every_adapted_matching_in_lexicographic_order():
@@ -243,6 +299,51 @@ def test_plain_matchings_are_every_noncrossing_one_in_lexicographic_order():
     for m in range(0, 13, 2):
         listed = [pi.match for pi in noncrossing_matchings(m)]
         assert listed == reference_listing(m, lambda a, b: True), m
+
+
+def iterator_walk(size, first):
+    """Match tuples of the walk with one fresh ``iter(range(...))`` of partners per frame.
+
+    The reference for the test below, which pins the order and the yields
+    of ``_walk``, whose frames keep a partner cursor instead.
+    """
+    period = len(first)
+    match = [-1] * size
+    if not size:
+        yield tuple(match)
+        return
+    frames = [(0, size, None, iter(range(first[0], size, period)))]
+    while frames:
+        lo, hi, rest, untried = frames[-1]
+        mid = next(untried, hi)
+        if mid == hi:
+            frames.pop()
+            continue
+        match[lo] = mid
+        match[mid] = lo
+        if lo + 1 < mid:
+            if mid + 1 < hi:
+                rest = (mid + 1, hi, rest)
+            lo, hi = lo + 1, mid
+        elif mid + 1 < hi:
+            lo = mid + 1
+        elif rest is not None:
+            lo, hi, rest = rest
+        else:
+            yield tuple(match)
+            continue
+        frames.append((lo, hi, rest, iter(range(lo + first[lo % period], hi, period))))
+
+
+def test_walk_lists_what_the_iterator_walk_lists_past_the_reference_sizes():
+    # every shift of p <= 4 at 2pk <= 20, past the 2pk <= 12 of reference_listing
+    for p in range(1, 5):
+        for k in range(0, 20 // (2 * p) + 1):
+            for shift in range(p + 1):
+                first, _ = partitions._period(p, shift)
+                listed = [pi.match for pi in partitions._walk(2 * p * k, first)]
+                assert listed == list(iterator_walk(2 * p * k, first)), (p, shift, k)
+                assert len(listed) == (fuss_catalan(p, k) if k else 1), (p, shift, k)
 
 
 def test_listing_is_lazy(monkeypatch):
@@ -592,6 +693,20 @@ def test_listing_checks_every_order_against_the_budget_before_the_first_walk(mon
         listed_histograms(2, 7, budget=16)
     # no order to list: the constant rows, whatever the budget
     assert listed_histograms(2, 0, budget=0) == [[MultiPoly.constant(3, 1)]] * 3
+
+
+@pytest.mark.parametrize("p,k_max", [(-1, 3), (0, 3), (0, 0), (2, -1), (-1, -1)])
+def test_listing_rejects_p_below_1_and_k_max_below_0_before_any_work(monkeypatch, p, k_max):
+    # p = -1 once listed nothing, k_max = -1 the order-0 rows, and p = 0
+    # failed only inside _period
+    def unavailable(*args):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(partitions, "_period", unavailable)
+    monkeypatch.setattr(partitions, "_walk", unavailable)
+    with pytest.raises(ValueError, match=rf"^listed_histograms needs p >= 1 and k_max >= 0, "
+                                         rf"got p={p}, k_max={k_max}$"):
+        listed_histograms(p, k_max, budget=0)
 
 
 @pytest.mark.parametrize("shift,order,first_failure", [(0, 1, 1), (0, 2, 2), (1, 1, 2), (2, 1, 2)])
