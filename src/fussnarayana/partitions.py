@@ -180,7 +180,9 @@ class PairPartition:
                 return
         # Rejected: find the error the full check reports first.
         # noncrossing <=> the word of openers/closers is balanced like parentheses;
-        # up to the first crossing every closer's partner is an opener on the stack
+        # up to the first crossing every closer's partner is an opener on the stack.
+        # The accept pass rejects an involution only at a closer whose pop is not
+        # its partner, so an array that passes the involution check has crossed.
         stack = []
         crossed = None
         for i, j in enumerate(match):
@@ -190,9 +192,7 @@ class PairPartition:
                 stack.append(i)
             elif crossed is None and stack.pop() != j:
                 crossed = i
-        if crossed is not None:
-            raise ValueError(f"blocks cross near position {crossed}")
-        self.match = match
+        raise ValueError(f"blocks cross near position {crossed}")
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]], size: int | None = None) -> "PairPartition":

@@ -409,6 +409,6 @@ def run_experiment(config: McConfig) -> McResult:
         if se > 0:
             z = (mean - target) / se
         else:
-            z = 0.0 if mean == target else math.inf
+            z = 0.0 if mean == target else math.copysign(math.inf, mean - target)
         stats.append(MomentStat(k=k, mean=mean, se=se, target=target, z=z))
     return McResult(config=config, moments=tuple(stats))

@@ -196,7 +196,9 @@ def _decoder(p: int, radix: int):
     d_0..d_p, built once from :func:`_elementary` over the packed d units.
     e_{p+1} = d_0 ... d_p is one monomial, so its power is a shift of the
     key, and an absent e_{p+1} reads as zero; e_1..e_p go by
-    :func:`_horner`, e_p outermost.
+    :func:`_horner`, e_p outermost.  Every stored term holds e_{p+1}:
+    g_0 is empty, g_1 = e_{p+1}, and a term of g_{n+1}, n >= 1, is
+    e_{p+1-j} times a product of j >= 1 terms of earlier orders.
     """
     e = _elementary([{unit: 1} for unit in _packed.units(p + 1, radix)], {0: 1}, dict,
                     _packed.add_product)
@@ -207,9 +209,7 @@ def _decoder(p: int, radix: int):
         leaves = {}
         for key, c in terms.items():
             power, rest = divmod(key, slot)
-            if power == 0:
-                leaves[rest] = {0: c}
-            elif top:
+            if top:
                 leaves[rest] = {power * top[0]: c}
         return _horner(leaves, e, p, radix) if leaves else {}
 

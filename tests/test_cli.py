@@ -713,6 +713,35 @@ def test_help_exits_zero(capsys):
     assert "subcommand" in out or "poly" in out
 
 
+@pytest.mark.parametrize("budget, argv, message", [
+    ("-1", ("enumerate", "-p", "1", "-k", "1", "--count"),
+     "error: FN_BUDGET must be a nonnegative integer, got '-1'\n"),
+    (None, ("mc", "-d", "1,x", "-n", "20", "-K", "2"),
+     "fussnarayana mc: error: argument -d: cannot parse '1,x' as comma-separated numbers\n"),
+    (None, ("poly", "-p", "0", "-k", "1"), "error: need -p >= 1 and -k >= 0\n"),
+    (None, ("moments", "-t", "1", "-K", "0"), "error: need -K >= 1\n"),
+    (None, ("moments", "-t", "1/2", "-K", "9", "--quadrature"),
+     "error: --quadrature supports orders up to 8\n"),
+])
+def test_a_rejected_argument_exits_two_and_says_why(capsys, monkeypatch, budget, argv, message):
+    monkeypatch.delenv("FN_BUDGET", raising=False)
+    if budget is not None:
+        monkeypatch.setenv("FN_BUDGET", budget)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith(message)
+
+
+@pytest.mark.parametrize("argv, code", [(["poly", "-p", "1", "-k", "1"], 0),
+                                        (["poly", "-p", "0", "-k", "1"], 2)])
+def test_the_console_entry_point_exits_with_the_code_of_main(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["fussnarayana", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run()
+    assert exit_info.value.code == code
+    capsys.readouterr()
+
+
 # -- JSON output -------------------------------------------------------------------
 
 json_strings = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),

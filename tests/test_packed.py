@@ -106,3 +106,9 @@ def test_orders_equal_the_eager_list_from_either_side():
     for other in ([d0, d1], [d0], eager + [d1], []):
         assert orders() != other and other != orders()
     assert orders() != tuple(eager) and orders() != eager[0]
+
+
+def test_orders_repr_lists_every_order_unpacked():
+    d0, d1, _ = (MultiPoly.variable(NUM_VARS, s) for s in range(NUM_VARS))
+    orders = _packed.Orders(NUM_VARS, RADIX, [pack(MultiPoly(NUM_VARS)), pack(d0 * d1)])
+    assert repr(orders) == "Orders([MultiPoly(3, '0'), MultiPoly(3, 'x0*x1')])"

@@ -245,6 +245,15 @@ def test_blocks_and_text_form():
         PairPartition.from_blocks([(1, 2), (2, 3)], size=4)
     with pytest.raises(ValueError):
         PairPartition.from_blocks([(1, 4), (2, 3)], size=6)
+    with pytest.raises(ValueError, match=r"^block \(0, 1\) outside 1..2$"):
+        PairPartition.from_blocks([(0, 1)])   # blocks are 1-based
+
+
+def test_pair_partition_compares_only_with_pair_partitions_and_reprs_its_blocks():
+    pi = PairPartition.from_blocks([(1, 4), (2, 3)])
+    assert (pi == 3) is False and pi != (3, 2, 1, 0)
+    assert repr(pi) == "PairPartition[(1,4)(2,3)]"
+    assert repr(PairPartition(())) == "PairPartition[]"
 
 
 def test_noncrossing_matchings_catalan_counts():
@@ -443,6 +452,8 @@ def test_leg_profile_rejects_non_adapted():
         leg_profile(crossingless_but_wrong, word)
     with pytest.raises(ValueError):
         leg_profile(nested, word[:2])
+    with pytest.raises(ValueError, match="empty word is ambiguous"):
+        leg_profile(PairPartition(()), ())
 
 
 def test_not_adapted_message_names_the_block_and_its_letters():

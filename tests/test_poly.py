@@ -1,5 +1,6 @@
 """Unit and property tests for the polynomial ring over the integers."""
 
+import operator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -203,6 +204,31 @@ def test_divide_by_variable():
     assert p.divide_by_variable(0) == y + x * y
     with pytest.raises(ValueError):
         (p + 1).divide_by_variable(0)
+
+
+def test_out_of_range_arguments_and_foreign_operands_rejected():
+    with pytest.raises(ValueError, match="num_vars must be nonnegative"):
+        MultiPoly(-1)
+    x = MultiPoly.variable(2, 0)
+    for operation in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            operation(x, "x")
+    with pytest.raises(ValueError, match="expected 2 values, got 3"):
+        x.evaluate((1, 2, 3))
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match=f"variable index {index} out of range"):
+            x.substitute(index, 1)
+        with pytest.raises(ValueError, match=f"variable index {index} out of range"):
+            x.divide_by_variable(index)
+
+
+def test_hash_and_repr():
+    p = MultiPoly(2, {(2, 1): 1, (0, 0): -2})
+    # equal polynomials hash equal, whatever order their terms came in
+    assert hash(p) == hash(MultiPoly(2, {(0, 0): -2, (2, 1): 1}))
+    assert len({p, MultiPoly(2, dict(p.terms)), MultiPoly(2)}) == 2
+    assert repr(p) == "MultiPoly(2, 'x0^2*x1 + -2')"
+    assert repr(MultiPoly(0)) == "MultiPoly(0, '0')"
 
 
 def test_canonical_order_descending_lex():

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import threading
 import time
 import tracemalloc
@@ -28,6 +29,7 @@ from fussnarayana.rmt import (
     _chain_steps,
     _one_trial,
     _trial_bytes,
+    _usable_cpus,
     _workers,
     run_experiment,
     sample_product,
@@ -287,6 +289,13 @@ def test_config_validation():
         small_config(seed=-1)
 
 
+def test_trace_moments_needs_an_order():
+    profile = DimensionProfile.from_targets((1.0, 1.0), 2)
+    product = sample_product(profile, np.random.default_rng(0), "complex")
+    with pytest.raises(ValueError, match="k_max must be >= 1, got 0"):
+        trace_moments(product, profile, 0)
+
+
 def test_sample_product_shapes_and_dtype():
     profile = DimensionProfile.from_targets((1.0, 1.5, 0.5), 20)
     rng = np.random.default_rng(0)
@@ -357,6 +366,11 @@ def _pinned_cpus(monkeypatch, cpus, blas_threads="1"):
         monkeypatch.delenv(name, raising=False)
     if blas_threads is not None:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+
+
+def test_usable_cpus_without_an_affinity_call_are_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _usable_cpus() == (os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("ensemble", ["complex", "real"])
@@ -441,7 +455,7 @@ def test_result_serializations():
 
 
 def test_non_finite_values_serialize_as_json_null():
-    # run_experiment sets z = inf when a moment has zero spread but misses its target
+    # run_experiment sets z = +-inf when a moment has zero spread but misses its target
     stats = (
         MomentStat(k=1, mean=1.5, se=0.0, target=1.0, z=math.inf),
         MomentStat(k=2, mean=math.nan, se=0.25, target=2.0, z=-math.inf),
@@ -451,6 +465,16 @@ def test_non_finite_values_serialize_as_json_null():
     assert rows[0] == {"k": 1, "mean": 1.5, "se": 0, "target": 1, "z": None}
     assert rows[1] == {"k": 2, "mean": None, "se": 0.25, "target": 2, "z": None}
     assert '"mean": 1.5, "se": 0, "target": 1, "z": null}' in text
+
+
+def test_zero_spread_below_the_target_gives_z_minus_inf(monkeypatch):
+    # every trial returns the same row, below both targets (0.75 and 2.0625)
+    monkeypatch.setattr("fussnarayana.rmt._one_trial", lambda config, trial: np.zeros(config.k_max))
+    result = run_experiment(small_config(trials=5, k_max=2))
+    assert [(m.se, m.z) for m in result.moments] == [(0.0, -math.inf)] * 2
+    assert result.to_csv_text() == "k,mean,se,target,z\n1,0,0,0.75,-inf\n2,0,0,2.0625,-inf\n"
+    rows = json.loads(result.to_json_text())["moments"]
+    assert [row["z"] for row in rows] == [None, None]
 
 
 def test_targets_are_the_moment_polynomials():

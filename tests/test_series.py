@@ -81,6 +81,17 @@ def test_symbolic_solve_stores_terms_in_the_elementary_polynomials():
     assert len(g[20].terms) == 1540
 
 
+@pytest.mark.parametrize("p,order", [(1, 20), (2, 10), (3, 8), (4, 6)])
+def test_every_stored_term_past_order_zero_holds_e_top(p, order):
+    # the decoder reads e_(p+1)'s power as the top digit of a key and has no
+    # branch for a term without it: g_0 is empty, and every term of g_n holds e_(p+1)
+    g = solve_functional_equation(p, order)
+    slot = g.radix**p
+    assert g._orders[0] == {}
+    for n in range(1, order + 1):
+        assert g._orders[n] and all(key // slot >= 1 for key in g._orders[n]), n
+
+
 @pytest.mark.parametrize("p,order", [(1, 60), (2, 30), (3, 20), (4, 14), (5, 10)])
 def test_symbolic_solve_is_the_moment_polynomial_past_the_benchmark_orders(p, order):
     g = solve_functional_equation(p, order)
