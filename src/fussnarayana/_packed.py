@@ -8,11 +8,8 @@ packed key to coefficient.  The packing is exact only while no exponent
 reaches the radix, so each caller derives its radix from a bound on a
 single exponent of everything it stores.  A route returns its orders
 as :class:`Orders`, which keeps each order packed until it is read and
-then turns it into a :class:`~fussnarayana.poly.MultiPoly` with
-:func:`unpack`, so a caller that reads one order unpacks one.  A route
-that stores its orders in other indeterminates passes a decode, run on
-an order's first read before it is unpacked: the series solve stores
-them in e_1..e_{p+1} and decodes them into d_0..d_p.
+then turns it into a :class:`~fussnarayana.poly.MultiPoly` with the
+route's reader, so a caller that reads one order unpacks one.
 
 The series solver and the interval counter of ``partitions`` run the
 one truncated-series kernel of :mod:`fussnarayana.series` on these
@@ -67,26 +64,22 @@ def add_product(
 
 
 class Orders:
-    """Read-only sequence of a route's orders 0..k, each unpacked when first read.
+    """Read-only sequence of a route's orders 0..k, each read when first indexed.
 
-    Holds the packed term dicts of one ``(num_vars, radix)`` packing, or
-    of the route's own packing when it passes ``decode``, the map from
-    one of its dicts to the packed dict in the ``num_vars`` variables.
-    Indexing order j decodes it and unpacks it with :func:`unpack` the
-    first time and keeps the ``MultiPoly`` in its place, so a second read
-    returns the same object and runs neither.  Supports ``len``,
-    iteration, negative indices and slices (a slice is a list), and
-    equals a list of ``MultiPoly`` with the same entries, whichever side
-    of ``==`` the list is on.
+    Holds a route's stored term dicts and ``read``, its map from one of
+    them to the ``MultiPoly`` it stands for.  Indexing order j reads it
+    the first time and keeps the ``MultiPoly`` in its place, so a second
+    read returns the same object and calls ``read`` no more.  Supports
+    ``len``, iteration, negative indices and slices (a slice is a list),
+    and equals a list of ``MultiPoly`` with the same entries, whichever
+    side of ``==`` the list is on.
     """
 
-    __slots__ = ("num_vars", "radix", "_orders", "_decode")
+    __slots__ = ("_orders", "_read")
 
-    def __init__(self, num_vars: int, radix: int, orders: list[dict[int, int]], decode=None):
-        self.num_vars = num_vars
-        self.radix = radix
+    def __init__(self, orders: list[dict[int, int]], read):
         self._orders = orders
-        self._decode = decode
+        self._read = read
 
     def __len__(self) -> int:
         return len(self._orders)
@@ -96,9 +89,7 @@ class Orders:
             return [self[j] for j in range(*index.indices(len(self._orders)))]
         order = self._orders[index]
         if type(order) is dict:
-            if self._decode is not None:
-                order = self._decode(order)
-            order = self._orders[index] = unpack(self.num_vars, self.radix, order)
+            order = self._orders[index] = self._read(order)
         return order
 
     def __iter__(self):

@@ -152,10 +152,9 @@ class PairPartition:
     and that no two blocks cross.  One stack pass accepts exactly those
     arrays: an opener (``match[i] > i``) is pushed, a closer must pop its
     own partner, which must point back at it, and the stack must end
-    empty.  Only an array that pass rejects is checked again, element by
-    element, to name its error, so the messages and their precedence are
-    those of a full check: the involution is checked over the whole array
-    before a crossing is reported.
+    empty.  A rejected array names its first position, over the whole
+    array, where it is not a fixed-point free involution; if it has none,
+    its blocks cross at the closer where the pass broke, the first crossing.
     """
 
     __slots__ = ("match",)
@@ -178,21 +177,14 @@ class PairPartition:
             if not stack:
                 self.match = match
                 return
-        # Rejected: find the error the full check reports first.
-        # noncrossing <=> the word of openers/closers is balanced like parentheses;
-        # up to the first crossing every closer's partner is an opener on the stack.
-        # The accept pass rejects an involution only at a closer whose pop is not
-        # its partner, so an array that passes the involution check has crossed.
-        stack = []
-        crossed = None
-        for i, j in enumerate(match):
-            if not 0 <= j < n or j == i or match[j] != i:
-                raise ValueError(f"match array is not a fixed-point free involution at {i}")
-            if j > i:
-                stack.append(i)
-            elif crossed is None and stack.pop() != j:
-                crossed = i
-        raise ValueError(f"blocks cross near position {crossed}")
+        # Rejected.  The accept pass fails a fixed-point free involution only at
+        # a closer whose popped opener is not its partner, the first crossing,
+        # and never ends it with openers left; so an array that passes the
+        # involution check crossed at the i where the pass broke.
+        for a, b in enumerate(match):
+            if not 0 <= b < n or b == a or match[b] != a:
+                raise ValueError(f"match array is not a fixed-point free involution at {a}")
+        raise ValueError(f"blocks cross near position {i}")
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]], size: int | None = None) -> "PairPartition":
@@ -433,7 +425,8 @@ def profile_histogram(
         unit = units[slot]
         return lambda total, a, b: _packed.add_product(total, a, b, unit)
 
-    return _packed.Orders(p + 1, radix, _count(p, k, shift, dict, {0: 1}, accumulate_for_slot))
+    return _packed.Orders(_count(p, k, shift, dict, {0: 1}, accumulate_for_slot),
+                          lambda terms: _packed.unpack(p + 1, radix, terms))
 
 
 def count_adapted(p: int, k: int, shift: int = 0, budget: int = DEFAULT_BUDGET) -> int:

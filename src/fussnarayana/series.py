@@ -51,9 +51,10 @@ products, not the theorem.
   (Stanley, EC2, Thm 7.4.4).  It has far fewer terms: through
   (p, K) = (4, 14) g and its powers store 660 terms, against 19 228 in
   d_0..d_4, and g_20 at p = 3 has 94 against 1540.  The orders come as
-  :class:`fussnarayana._packed.Orders`, which decodes an order the first
-  time it is read: :func:`_decoder` substitutes e_m by the elementary
-  polynomial of the d_i, and the result is unpacked to a ``MultiPoly``.
+  :class:`fussnarayana._packed.Orders`, which reads an order the first
+  time it is indexed, with the reader :func:`_decoder` builds: it
+  substitutes e_m by the elementary polynomial of the d_i and unpacks
+  the result to a ``MultiPoly``.
   With rational d_i the loop runs on Python ints with the default
   accumulate (:func:`_solve`): g_n is homogeneous of degree pn + 1 in
   the d_i, so the solver scales the d_i by the lcm q of their
@@ -190,7 +191,7 @@ def _horner(terms: dict, e: Sequence, level: int, radix: int) -> dict[int, int]:
 
 
 def _decoder(p: int, radix: int):
-    """The map from a packed e-dict of the symbolic solve to its packed d-dict.
+    """The map from a packed e-dict of the symbolic solve to its ``MultiPoly`` in d_0..d_p.
 
     Substitutes e_m by the m-th elementary symmetric polynomial of
     d_0..d_p, built once from :func:`_elementary` over the packed d units.
@@ -198,20 +199,21 @@ def _decoder(p: int, radix: int):
     key, and an absent e_{p+1} reads as zero; e_1..e_p go by
     :func:`_horner`, e_p outermost.  Every stored term holds e_{p+1}:
     g_0 is empty, g_1 = e_{p+1}, and a term of g_{n+1}, n >= 1, is
-    e_{p+1-j} times a product of j >= 1 terms of earlier orders.
+    e_{p+1-j} times a product of j >= 1 terms of earlier orders.  The
+    packed d-dict is then unpacked with :func:`_packed.unpack`.
     """
     e = _elementary([{unit: 1} for unit in _packed.units(p + 1, radix)], {0: 1}, dict,
                     _packed.add_product)
     top = list(e[p + 1]) if len(e) > p + 1 else []
     slot = radix**p
 
-    def decode(terms: dict[int, int]) -> dict[int, int]:
+    def decode(terms: dict[int, int]) -> MultiPoly:
         leaves = {}
         for key, c in terms.items():
             power, rest = divmod(key, slot)
             if top:
                 leaves[rest] = {power * top[0]: c}
-        return _horner(leaves, e, p, radix) if leaves else {}
+        return _packed.unpack(p + 1, radix, _horner(leaves, e, p, radix) if leaves else {})
 
     return decode
 
@@ -249,9 +251,9 @@ def solve_functional_equation(
     Returns the coefficients ``g[0..order]``.  With ``dims`` omitted the
     d_i are symbolic and ``g[k]`` is the order-k limit moment polynomial
     times d0, in ``p+1`` variables.  The solve runs over e_1..e_{p+1},
-    and the orders come as a :class:`~fussnarayana._packed.Orders`, which
-    decodes an order into the d_i and unpacks it into a ``MultiPoly`` the
-    first time it is read, and equals the list of them.
+    and the orders come as a :class:`~fussnarayana._packed.Orders` whose
+    reader, :func:`_decoder`, returns an order's ``MultiPoly`` in the d_i
+    the first time the order is read; it equals the list of them.
     With ``dims`` given (p+1 exact rationals) the same recurrence runs on
     the integer dims ``q * d_i``, q the lcm of their denominators, and the
     result is a list whose ``g[k]`` is the integer result divided by
@@ -283,7 +285,7 @@ def solve_functional_equation(
         radix = order + 1
         e = [{0: 1}] + [{unit: 1} for unit in _packed.units(p + 1, radix)]
         g = _series(e, {0: 1}, order, dict, _packed.add_product)
-        return _packed.Orders(p + 1, radix, g, _decoder(p, radix))
+        return _packed.Orders(g, _decoder(p, radix))
     # Homogeneity: if g(x) solves the equation at d, then h(x) = q g(q^p x)
     # solves it at q d, since x prod_i (h + q d_i) = q^{p+1} x prod_i
     # (g(q^p x) + d_i) = q g(q^p x), the last step being the equation at

@@ -66,20 +66,25 @@ def test_square_coefficient_is_the_series_square(a, start):
         assert _packed.unpack(NUM_VARS, RADIX, total) == start + expected[n]
 
 
+def read(terms):
+    """The reader of packed dicts in ``NUM_VARS`` variables at ``RADIX``."""
+    return _packed.unpack(NUM_VARS, RADIX, terms)
+
+
 def test_orders_unpack_each_order_once_when_it_is_read(unpacked):
     d0, d1, d2 = (MultiPoly.variable(NUM_VARS, s) for s in range(NUM_VARS))
     eager = [MultiPoly(NUM_VARS), d0, d1 * d2 + 3 * d0 * d0, -d2]
-    # a route's decode runs on an order's stored dict once, before it is
-    # unpacked: the second copy stores each key shifted by d0's unit
+    # a route's reader runs on an order's stored dict once: the second copy
+    # stores each key shifted by d0's unit, and its reader shifts it back
     shifted = [{key + 1: c for key, c in pack(poly).items()} for poly in eager]
     decoded = []
 
-    def decode(terms):
+    def read_shifted(terms):
         decoded.append(terms)
-        return {key - 1: c for key, c in terms.items()}
+        return read({key - 1: c for key, c in terms.items()})
 
-    for orders in (_packed.Orders(NUM_VARS, RADIX, [pack(poly) for poly in eager]),
-                   _packed.Orders(NUM_VARS, RADIX, list(shifted), decode)):
+    for orders in (_packed.Orders([pack(poly) for poly in eager], read),
+                   _packed.Orders(list(shifted), read_shifted)):
         unpacked.clear()
         assert len(orders) == 4 and not unpacked
         assert orders[-1] == -d2 and orders[2] == eager[2]
@@ -94,12 +99,31 @@ def test_orders_unpack_each_order_once_when_it_is_read(unpacked):
     assert decoded == [shifted[3], shifted[2], shifted[1], shifted[0]]
 
 
+def test_orders_know_no_packing(unpacked):
+    # a reader that is not unpack at all: each order is read once, in the
+    # order it is first indexed, and a second read returns the kept object
+    stored = [{}, {1: 2}, {3: 4, 5: 6}, {7: 8}]
+    read_terms = []
+
+    def count_terms(terms):
+        read_terms.append(terms)
+        return MultiPoly.constant(1, len(terms))
+
+    orders = _packed.Orders(list(stored), count_terms)
+    third = orders[2]
+    assert third == MultiPoly.constant(1, 2) and orders[-4] == MultiPoly.constant(1, 0)
+    assert read_terms == [stored[2], stored[0]]
+    assert orders[2] is third and orders[1:3][1] is third and read_terms[2:] == [stored[1]]
+    assert orders == [MultiPoly.constant(1, n) for n in (0, 1, 2, 1)]
+    assert read_terms == [stored[2], stored[0], stored[1], stored[3]] and not unpacked
+
+
 def test_orders_equal_the_eager_list_from_either_side():
     d0, d1, _ = (MultiPoly.variable(NUM_VARS, s) for s in range(NUM_VARS))
     eager = [d0, d0 * d1]
 
     def orders():
-        return _packed.Orders(NUM_VARS, RADIX, [pack(poly) for poly in eager])
+        return _packed.Orders([pack(poly) for poly in eager], read)
 
     assert orders() == eager and eager == orders() and orders() == orders()
     assert not orders() != eager and not eager != orders()
@@ -110,5 +134,5 @@ def test_orders_equal_the_eager_list_from_either_side():
 
 def test_orders_repr_lists_every_order_unpacked():
     d0, d1, _ = (MultiPoly.variable(NUM_VARS, s) for s in range(NUM_VARS))
-    orders = _packed.Orders(NUM_VARS, RADIX, [pack(MultiPoly(NUM_VARS)), pack(d0 * d1)])
+    orders = _packed.Orders([pack(MultiPoly(NUM_VARS)), pack(d0 * d1)], read)
     assert repr(orders) == "Orders([MultiPoly(3, '0'), MultiPoly(3, 'x0*x1')])"

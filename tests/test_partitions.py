@@ -153,11 +153,12 @@ def test_pair_partition_validation():
 
 
 def element_by_element_error(match):
-    """The message of the element-by-element check ``PairPartition`` names its errors with, or None.
+    """The message an element-by-element check gives ``match``, or None.
 
-    A copy of that check, kept here as the reference for the test below,
-    which pins both the verdicts and the messages of the constructor's
-    one-pass accept and the check behind it.
+    It checks the involution over the whole array before it names the
+    first crossing.  The test below holds ``PairPartition``'s one-pass
+    accept and the naming of its rejections to this reference, verdicts
+    and messages both.
     """
     n = len(match)
     if n % 2:
@@ -195,10 +196,13 @@ def every_perfect_matching_array(n):
 
 
 def test_pair_partition_accepts_exactly_the_noncrossing_pair_matchings():
-    # every array of length <= 4 with entries in -1..n, and every perfect
-    # matching of up to 10 points: accepted exactly when the definition
-    # holds, and a rejected one raises what the element-by-element check says
+    # every array of length <= 4 with entries in -1..n, every array of length 6
+    # with entries in 0..5, and every perfect matching of up to 10 points:
+    # accepted exactly when the definition holds, and a rejected one raises
+    # what the element-by-element check says.  Length 6 is the least where a
+    # crossing comes before a later involution error, as in (2, 3, 0, 1, 4, 5).
     arrays = [match for n in range(5) for match in itertools.product(range(-1, n + 1), repeat=n)]
+    arrays += list(itertools.product(range(6), repeat=6))
     arrays += [match for n in range(0, 11, 2) for match in every_perfect_matching_array(n)]
     accepted = 0
     for match in arrays:
@@ -211,8 +215,9 @@ def test_pair_partition_accepts_exactly_the_noncrossing_pair_matchings():
             with pytest.raises(ValueError) as error:
                 PairPartition(match)
             assert str(error.value) == expected, match
-    # noncrossing ones: 1 + 1 + 2 among the short arrays, Catalan(0..5) among the matchings
-    assert accepted == 4 + sum((1, 1, 2, 5, 14, 42))
+    # noncrossing ones: 1 + 1 + 2 among the short arrays, Catalan(3) among those
+    # of length 6, Catalan(0..5) among the matchings
+    assert accepted == 4 + 5 + sum((1, 1, 2, 5, 14, 42))
 
 
 @pytest.mark.parametrize("build", [

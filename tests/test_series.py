@@ -86,7 +86,7 @@ def test_every_stored_term_past_order_zero_holds_e_top(p, order):
     # the decoder reads e_(p+1)'s power as the top digit of a key and has no
     # branch for a term without it: g_0 is empty, and every term of g_n holds e_(p+1)
     g = solve_functional_equation(p, order)
-    slot = g.radix**p
+    slot = (order + 1) ** p
     assert g._orders[0] == {}
     for n in range(1, order + 1):
         assert g._orders[n] and all(key // slot >= 1 for key in g._orders[n]), n
